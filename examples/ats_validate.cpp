@@ -18,20 +18,29 @@
 // as <name>.trace / <name>.defects, and the report must cite the entry's
 // declared DefectKind — a registry-level must-detect check on every run.
 //
+// --regen also rewrites cube_xml.fnv1a64: one "<name> <hash>" line per
+// pinned trace, the FNV-1a hash of report::cube_xml over that trace's
+// lenient analysis.  It pins the XML report byte for byte without checking
+// in the XML; report_test recomputes and compares it.
+//
 // Exit codes:
 //   0  the file is pristine / the golden corpus matches;
 //   1  the file is damaged but recoverable, or the corpus drifted;
 //   2  the file is unreadable (missing, bad header, or --strict rejected it).
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analyzer/analyzer.hpp"
+#include "common/hash.hpp"
 #include "gen/registry.hpp"
 #include "report/cube_view.hpp"
+#include "report/cube_xml.hpp"
 #include "trace/trace_binary.hpp"
 #include "trace/trace_io.hpp"
 
@@ -83,6 +92,31 @@ void pin_or_check(const std::string& path, const std::string& bytes,
               << "\n";
     ++drifted;
   }
+}
+
+/// The cube_xml hash list over every <name>.trace in `dir`, sorted by name.
+std::string cube_xml_hashes(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".trace") {
+      names.push_back(e.path().stem().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  analyze::AnalyzerOptions aopt;
+  aopt.lenient = true;  // defect entries are salvaged mid-operation
+  std::ostringstream os;
+  for (const std::string& name : names) {
+    std::ifstream in(dir + "/" + name + ".trace", std::ios::binary);
+    const trace::LoadResult lr = trace::load_trace(in);
+    const std::string xml =
+        report::cube_xml(analyze::analyze(lr.trace, aopt), lr.trace);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(xml)));
+    os << name << ' ' << hex << '\n';
+  }
+  return os.str();
 }
 
 int run_golden(const std::string& dir, bool regen) {
@@ -147,7 +181,10 @@ int run_golden(const std::string& dir, bool regen) {
                  "defect report", regen, drifted);
   }
 
-  if (!regen) {
+  if (regen) {
+    pin_or_check(dir + "/cube_xml.fnv1a64", cube_xml_hashes(dir), "cube_xml",
+                 "hash list", regen, drifted);
+  } else {
     std::cout << reg.names().size() + reg.defect_names().size()
               << " golden entries, " << drifted << " drifted, " << missed
               << " missed detections\n";

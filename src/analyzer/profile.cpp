@@ -115,6 +115,23 @@ std::string CallPathProfile::path_string(NodeId n,
   return out;
 }
 
+std::vector<std::string> CallPathProfile::path_strings(
+    const trace::Trace& trace) const {
+  std::vector<std::string> out(nodes_.size());
+  out[kRootNode] = "<root>";
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    const NodeId n = static_cast<NodeId>(i);
+    const NodeId parent = nodes_[i].parent;
+    if (parent == kRootNode) {
+      out[i] = name_of(n, trace);
+    } else {
+      out[i] = out[static_cast<std::size_t>(parent)] + " > " +
+               name_of(n, trace);
+    }
+  }
+  return out;
+}
+
 void CallPathProfile::preorder(
     const std::function<void(NodeId, int)>& visit) const {
   std::function<void(NodeId, int)> walk = [&](NodeId n, int depth) {

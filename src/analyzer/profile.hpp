@@ -52,6 +52,10 @@ class CallPathProfile {
 
   /// "a > b > c" path rendering using the trace's region names.
   std::string path_string(NodeId n, const trace::Trace& trace) const;
+  /// path_string() of every node, indexed by NodeId, built in one pass:
+  /// parents precede children, so each path extends its parent's.  The
+  /// per-row renderers (severity CSV, diff snapshot) index this table.
+  std::vector<std::string> path_strings(const trace::Trace& trace) const;
   /// Region name of the node itself ("<root>" for the root).
   std::string name_of(NodeId n, const trace::Trace& trace) const;
 

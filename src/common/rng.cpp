@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/hash.hpp"
+
 namespace ats {
 
 namespace {
@@ -61,12 +63,7 @@ double Rng::next_in(double lo, double hi) {
 SplitSeed SplitSeed::child(std::string_view label) const {
   // FNV-1a over the label, offset by the parent value, then a SplitMix64
   // finalisation pass so nearby parents / similar labels decorrelate.
-  std::uint64_t h = v_ ^ 0xcbf29ce484222325ULL;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  std::uint64_t state = h;
+  std::uint64_t state = fnv1a64(label, v_ ^ kFnv1a64Offset);
   return SplitSeed(splitmix64(state));
 }
 

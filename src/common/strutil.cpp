@@ -42,6 +42,31 @@ std::string fmt_double(double v, int precision) {
   return buf;
 }
 
+void append_seconds(std::string& out, VDur d) {
+  constexpr std::int64_t kExact = std::int64_t{1} << 50;
+  const std::int64_t ns = d.ns();
+  if (ns <= -kExact || ns >= kExact) {
+    out += fmt_double(d.sec(), 9);
+    return;
+  }
+  std::uint64_t whole = static_cast<std::uint64_t>(ns < 0 ? -ns : ns);
+  std::uint64_t frac = whole % 1'000'000'000;
+  whole /= 1'000'000'000;
+  char buf[32];  // '-' + at most 7 whole digits + '.' + 9 decimals
+  char* const end = buf + sizeof buf;
+  char* p = end;
+  for (int i = 0; i < 9; ++i, frac /= 10) {
+    *--p = static_cast<char>('0' + frac % 10);
+  }
+  *--p = '.';
+  do {
+    *--p = static_cast<char>('0' + whole % 10);
+    whole /= 10;
+  } while (whole != 0);
+  if (ns < 0) *--p = '-';
+  out.append(p, end);
+}
+
 std::string fmt_percent(double frac, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f%%", precision, frac * 100.0);

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/vtime.hpp"
+
 namespace ats {
 
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
@@ -21,6 +23,13 @@ std::string pad_left(std::string_view s, std::size_t width);
 
 /// printf-style double with fixed precision.
 std::string fmt_double(double v, int precision = 3);
+
+/// Appends `d` as seconds with nine decimals ("-1.000000001"), formatted
+/// from its integer nanoseconds.  Byte-identical to fmt_double(d.sec(), 9)
+/// while |ns| < 2^50 (~13 days): there the double product errs by at most
+/// 2.5e-10 s, under half the last printed digit.  Beyond that bound it
+/// falls back to fmt_double, so the output never depends on the path.
+void append_seconds(std::string& out, VDur d);
 
 /// Percent rendering ("12.3%"); `frac` is a fraction of one.
 std::string fmt_percent(double frac, int precision = 1);

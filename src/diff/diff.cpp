@@ -4,9 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -20,10 +22,25 @@ namespace {
 
 constexpr const char* kCsvHeader = "property,call_path,location,severity_sec";
 
-std::string cell_key(const std::string& property, const std::string& path,
-                     const std::string& location) {
-  return property + "\x1f" + path + "\x1f" + location;
-}
+/// A cell's display identity, viewing the strings of a snapshot that
+/// outlives the key.
+struct CellKey {
+  std::string_view property, path, location;
+
+  explicit CellKey(const SnapshotCell& c)
+      : property(c.property), path(c.call_path), location(c.location) {}
+  bool operator==(const CellKey&) const = default;
+};
+
+struct CellKeyHash {
+  std::size_t operator()(const CellKey& k) const {
+    const std::hash<std::string_view> h;
+    std::size_t v = h(k.property);
+    v ^= h(k.path) + 0x9e3779b97f4a7c15ULL + (v << 6) + (v >> 2);
+    v ^= h(k.location) + 0x9e3779b97f4a7c15ULL + (v << 6) + (v >> 2);
+    return v;
+  }
+};
 
 /// Change test shared by every diff flavour: both floors must clear.
 bool clears_floors(double a, double b, const DiffOptions& opt) {
@@ -69,10 +86,11 @@ std::string xml_escape(const std::string& s) {
 Snapshot Snapshot::from_result(const analyze::AnalysisResult& result,
                                const trace::Trace& trace) {
   Snapshot s;
+  const std::vector<std::string> paths = result.profile.path_strings(trace);
   result.cube.for_each([&](analyze::PropertyId p, analyze::NodeId n,
                            trace::LocId l, VDur d) {
     s.cells.push_back({analyze::property_name(p),
-                       result.profile.path_string(n, trace),
+                       paths[static_cast<std::size_t>(n)],
                        trace.location(l).name, d.sec()});
   });
   for (const auto& defect : result.defects) {
@@ -145,10 +163,10 @@ DiffOptions calibrate(const std::vector<Snapshot>& repeats, DiffOptions base) {
     double min = 0.0, max = 0.0;
     std::size_t seen = 0;
   };
-  std::map<std::string, Spread> spreads;
+  std::unordered_map<CellKey, Spread, CellKeyHash> spreads;
   for (const auto& snap : repeats) {
     for (const auto& c : snap.cells) {
-      auto& sp = spreads[cell_key(c.property, c.call_path, c.location)];
+      auto& sp = spreads[CellKey(c)];
       if (sp.seen == 0) {
         sp.min = sp.max = c.severity_sec;
       } else {
@@ -226,11 +244,11 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
     bool in_a = false, in_b = false;
   };
   std::vector<Pair> pairs;
-  std::unordered_map<std::string, std::size_t> index;
+  std::unordered_map<CellKey, std::size_t, CellKeyHash> index;
   pairs.reserve(a.cells.size() + b.cells.size());
+  index.reserve(a.cells.size() + b.cells.size());
   for (const auto& c : a.cells) {
-    const auto [it, inserted] = index.emplace(
-        cell_key(c.property, c.call_path, c.location), pairs.size());
+    const auto [it, inserted] = index.try_emplace(CellKey(c), pairs.size());
     if (inserted) {
       pairs.push_back({&c, c.severity_sec, 0.0, true, false});
     } else {
@@ -238,8 +256,7 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
     }
   }
   for (const auto& c : b.cells) {
-    const auto [it, inserted] = index.emplace(
-        cell_key(c.property, c.call_path, c.location), pairs.size());
+    const auto [it, inserted] = index.try_emplace(CellKey(c), pairs.size());
     if (inserted) {
       pairs.push_back({&c, 0.0, c.severity_sec, false, true});
     } else if (pairs[it->second].in_b) {
@@ -252,7 +269,8 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
   out.cells_compared = pairs.size();
 
   // Per-property roll-up over every cell; the changed subset feeds the
-  // reported cell deltas.
+  // reported cell deltas.  Cells arrive grouped by property (the for_each
+  // order), so the entry is looked up only when the property changes.
   struct Roll {
     double a = 0.0, b = 0.0;
     std::size_t changed = 0;
@@ -260,13 +278,19 @@ DiffResult diff_snapshots(const Snapshot& a, const Snapshot& b,
   };
   std::map<std::string, Roll> rolls;
   std::size_t next_order = 0;
+  const std::string* roll_property = nullptr;
+  Roll* roll = nullptr;
   for (const auto& p : pairs) {
-    auto [it, inserted] = rolls.try_emplace(p.cell->property);
-    if (inserted) it->second.order = next_order++;
-    it->second.a += p.a_sec;
-    it->second.b += p.b_sec;
+    if (roll_property == nullptr || *roll_property != p.cell->property) {
+      auto [it, inserted] = rolls.try_emplace(p.cell->property);
+      if (inserted) it->second.order = next_order++;
+      roll_property = &it->first;
+      roll = &it->second;
+    }
+    roll->a += p.a_sec;
+    roll->b += p.b_sec;
     if (!clears_floors(p.a_sec, p.b_sec, opt)) continue;
-    it->second.changed += 1;
+    roll->changed += 1;
     CellDelta d;
     d.property = p.cell->property;
     d.call_path = p.cell->call_path;

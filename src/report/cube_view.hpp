@@ -55,7 +55,8 @@ std::string render_profile(const analyze::AnalysisResult& result,
                            const trace::Trace& trace, int max_depth = 6);
 
 /// Machine-readable severity dump: one CSV row per
-/// (property, call path, location) with a non-zero severity.
+/// (property, call path, location) with a non-zero severity; severities
+/// are seconds with nine decimals (append_seconds, docs/DIFF.md).
 std::string severity_csv(const analyze::AnalysisResult& result,
                          const trace::Trace& trace);
 

@@ -112,24 +112,28 @@ void write_cube_xml(std::ostream& os, const AnalysisResult& result,
     os << " </defects>\n";
   }
 
-  os << " <severity>\n";
+  // The matrix prints every location of every row, zeros included, so it
+  // is built in one string rather than field by field through the stream.
+  std::string sev = " <severity>\n";
   for (PropertyId p : analyze::property_preorder()) {
     const auto nodes = result.cube.nodes_of(p);
     if (nodes.empty()) continue;
-    os << "  <matrix metric=\"" << static_cast<int>(p) << "\">\n";
+    sev += "  <matrix metric=\"" + std::to_string(static_cast<int>(p)) +
+           "\">\n";
     for (NodeId n : nodes) {
       const auto locs = result.cube.locations_of(p, n);
-      os << "   <row cnode=\"" << n << "\">";
+      sev += "   <row cnode=\"" + std::to_string(n) + "\">";
       for (std::size_t l = 0; l < locs.size(); ++l) {
-        if (l != 0) os << ' ';
-        os << fmt_double(locs[l].sec(), 9);
+        if (l != 0) sev += ' ';
+        append_seconds(sev, locs[l]);
       }
-      os << "</row>\n";
+      sev += "</row>\n";
     }
-    os << "  </matrix>\n";
+    sev += "  </matrix>\n";
   }
-  os << " </severity>\n";
-  os << "</cube>\n";
+  sev += " </severity>\n";
+  sev += "</cube>\n";
+  os << sev;
 }
 
 std::string cube_xml(const AnalysisResult& result,

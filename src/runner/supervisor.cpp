@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/fsatomic.hpp"
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
@@ -83,12 +84,8 @@ bool parse_journal_row(const std::string& line, std::uint64_t fp,
 namespace {
 
 void hash_bytes(std::uint64_t* h, std::string_view bytes) {
-  for (const char c : bytes) {
-    *h ^= static_cast<unsigned char>(c);
-    *h *= 0x100000001b3ULL;
-  }
-  *h ^= 0xff;  // field separator, so {"ab",""} != {"a","b"}
-  *h *= 0x100000001b3ULL;
+  // Trailing 0xff field separator, so {"ab",""} != {"a","b"}.
+  *h = fnv1a64("\xff", fnv1a64(bytes, *h));
 }
 
 void hash_int(std::uint64_t* h, std::int64_t v) {
@@ -104,17 +101,8 @@ void hash_double(std::uint64_t* h, double v) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t SupervisedRunner::plan_fingerprint(const ExperimentPlan& plan) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnv1a64Offset;
   hash_bytes(&h, plan.property);
   hash_bytes(&h, plan.axis.param);
   for (const auto& v : plan.axis.values) hash_bytes(&h, v);

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "gen/experiment.hpp"
@@ -89,9 +88,6 @@ class SupervisedRunner {
  private:
   SupervisorOptions opt_;
 };
-
-/// FNV-1a 64-bit over a byte string (the journal/fingerprint hash).
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// One completed cell as a journal line: tab-separated
 ///   fp(hex) \t index \t value \t severity_ns \t detected \t dominant

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "runner/supervisor.hpp"
 
 namespace ats::service {
@@ -34,7 +35,7 @@ std::uint64_t ResultCache::cell_key(std::uint64_t plan_fp,
                                     const std::string& value) {
   std::ostringstream os;
   os << std::hex << plan_fp << '\t' << value;
-  return runner::fnv1a64(os.str());
+  return fnv1a64(os.str());
 }
 
 ResultCache::Found ResultCache::lookup_or_begin(std::uint64_t key,

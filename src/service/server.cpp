@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/strutil.hpp"
 #include "diff/diff.hpp"
@@ -166,7 +167,7 @@ void Server::recover() {
     QueuedRequest task;
     task.req = std::move(req);
     task.canonical = line;
-    task.id = runner::fnv1a64(line);
+    task.id = fnv1a64(line);
     task.enqueued = Clock::now();
     task.recovered = true;
     // Recovered work runs under the default deadline (its original one
@@ -355,7 +356,7 @@ std::string Server::handle_line(const std::string& line, int fd) {
   QueuedRequest task;
   task.req = std::move(req);
   task.canonical = canonical_request_line(task.req);
-  task.id = runner::fnv1a64(task.canonical);
+  task.id = fnv1a64(task.canonical);
   task.enqueued = Clock::now();
   const auto deadline = task.req.deadline.count() != 0 ? task.req.deadline
                                                        : opt_.default_deadline;

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "gen/registry.hpp"
 #include "test_util.hpp"
 
 namespace ats::analyze {
@@ -56,6 +57,24 @@ TEST(Profile, PathStringsAreReadable) {
   trace::Trace t = handmade_two_region_trace();
   EXPECT_EQ(prof.path_string(inner, t), "outer > inner");
   EXPECT_EQ(prof.name_of(kRootNode, t), "<root>");
+}
+
+TEST(Profile, PathStringsTableMatchesPerNodeRendering) {
+  const auto& reg = gen::Registry::instance();
+  for (const std::string& name : reg.names()) {
+    const gen::PropertyDef& def = reg.find(name);
+    gen::RunConfig cfg;
+    cfg.nprocs = std::max(def.min_procs, 4);
+    const trace::Trace tr = gen::run_single_property(def, def.positive, cfg);
+    const auto result = analyze(tr);
+    const std::vector<std::string> table = result.profile.path_strings(tr);
+    ASSERT_EQ(table.size(), result.profile.node_count()) << name;
+    for (std::size_t n = 0; n < table.size(); ++n) {
+      EXPECT_EQ(table[n],
+                result.profile.path_string(static_cast<NodeId>(n), tr))
+          << name << " node " << n;
+    }
+  }
 }
 
 TEST(Profile, UnbalancedExitThrows) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -168,6 +169,42 @@ TEST(StrUtil, Formatting) {
   EXPECT_TRUE(starts_with("late_sender", "late"));
   EXPECT_FALSE(starts_with("late", "late_sender"));
   EXPECT_EQ(repeat('-', 3), "---");
+}
+
+TEST(StrUtil, AppendSecondsPrintsIntegerNanoseconds) {
+  std::string out = "t=";
+  append_seconds(out, VDur(1'500'000'000));
+  EXPECT_EQ(out, "t=1.500000000");
+  out.clear();
+  append_seconds(out, VDur(-1));
+  EXPECT_EQ(out, "-0.000000001");
+}
+
+TEST(StrUtil, AppendSecondsMatchesFmtDouble) {
+  // The integer path must reproduce the double rendering it replaces, on
+  // both sides of the 2^50 ns fallback bound and at the int64 extremes.
+  const auto same = [](std::int64_t ns) {
+    std::string out;
+    append_seconds(out, VDur(ns));
+    EXPECT_EQ(out, fmt_double(static_cast<double>(ns) * 1e-9, 9)) << ns;
+  };
+  constexpr std::int64_t kBound = std::int64_t{1} << 50;
+  for (const std::int64_t ns :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{999'999'999},
+        std::int64_t{1'000'000'000}, kBound - 1, kBound, kBound + 1}) {
+    same(ns);
+    same(-ns);
+  }
+  same(std::numeric_limits<std::int64_t>::max());
+  same(std::numeric_limits<std::int64_t>::min());
+  // Seeded sweep over every magnitude width up to 2^51, both signs.
+  Rng rng(20261017);
+  for (int i = 0; i < 20000; ++i) {
+    const int bits = static_cast<int>(rng.next_in(std::int64_t{1}, 51));
+    const auto mag = static_cast<std::int64_t>(
+        rng.next_below(std::uint64_t{1} << bits));
+    same(rng.next_below(2) == 0 ? mag : -mag);
+  }
 }
 
 TEST(Error, RequireThrowsUsageError) {

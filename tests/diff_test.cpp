@@ -150,6 +150,47 @@ TEST(DiffThresholds, AddedAndRemovedCells) {
   EXPECT_EQ(d.attribution, "wait at barrier");
 }
 
+TEST(DiffThresholds, DuplicateDisplayKeysAggregateIntoOneCell) {
+  // Hybrid traces reuse "rank R thread T" across parallel regions, so two
+  // location ids can share a display name; from_result then emits one
+  // cell per id under the same (property, path, location) triple.  Each
+  // side sums such duplicates into one logical cell.
+  const auto a = make_snapshot({
+      {"late sender", "main > recv", "rank 0 thread 1", 1.0},
+      {"late sender", "main > recv", "rank 0 thread 1", 0.5},
+      {"late sender", "main > recv", "rank 1 thread 0", 0.25},
+  });
+  const diff::DiffResult self = diff::diff_snapshots(a, a);
+  EXPECT_TRUE(self.empty());
+  EXPECT_EQ(self.cells_compared, 2u);
+
+  // B raises one of the two duplicates and adds a B-only duplicated cell.
+  const auto b = make_snapshot({
+      {"late sender", "main > recv", "rank 0 thread 1", 1.0},
+      {"late sender", "main > recv", "rank 0 thread 1", 0.9},
+      {"late sender", "main > recv", "rank 1 thread 0", 0.25},
+      {"wait at barrier", "main > barrier", "rank 0 thread 1", 0.1},
+      {"wait at barrier", "main > barrier", "rank 0 thread 1", 0.2},
+  });
+  const diff::DiffResult d = diff::diff_snapshots(a, b);
+  EXPECT_EQ(d.cells_compared, 3u);
+  ASSERT_EQ(d.cells.size(), 2u);
+  EXPECT_EQ(d.cells[0].property, "late sender");
+  EXPECT_EQ(d.cells[0].location, "rank 0 thread 1");
+  EXPECT_EQ(d.cells[0].kind, diff::DeltaKind::kIncreased);
+  EXPECT_DOUBLE_EQ(d.cells[0].a_sec, 1.5);
+  EXPECT_DOUBLE_EQ(d.cells[0].b_sec, 1.9);
+  EXPECT_EQ(d.cells[1].property, "wait at barrier");
+  EXPECT_EQ(d.cells[1].kind, diff::DeltaKind::kAdded);
+  EXPECT_DOUBLE_EQ(d.cells[1].a_sec, 0.0);
+  EXPECT_DOUBLE_EQ(d.cells[1].b_sec, 0.3);
+  ASSERT_EQ(d.properties.size(), 2u);
+  EXPECT_EQ(d.properties[0].property, "late sender");
+  EXPECT_DOUBLE_EQ(d.properties[0].a_total_sec, 1.75);
+  EXPECT_DOUBLE_EQ(d.properties[0].b_total_sec, 2.15);
+  EXPECT_EQ(d.properties[0].cells_changed, 1u);
+}
+
 TEST(DiffCalibration, RepeatSpreadWidensRelativeFloor) {
   const auto r1 = make_snapshot({{"late sender", "p", "rank 0", 1.0}});
   const auto r2 = make_snapshot({{"late sender", "p", "rank 0", 1.06}});

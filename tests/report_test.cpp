@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/strutil.hpp"
 #include "gen/registry.hpp"
 #include "report/cube_view.hpp"
 #include "report/cube_xml.hpp"
 #include "report/timeline.hpp"
+#include "trace/trace_io.hpp"
 #include "test_util.hpp"
 
 namespace ats::report {
@@ -227,6 +233,40 @@ TEST(CubeXml, MatrixValuesMatchCube) {
   // The late-sender row must contain the measured severity in seconds.
   const VDur sev = result.cube.total(analyze::PropertyId::kLateSender);
   EXPECT_NE(xml.find(fmt_double(sev.sec(), 9)), std::string::npos);
+}
+
+// cube_xml is pinned byte for byte through a checked-in hash list over
+// the golden traces (written by `ats_validate --golden <dir> --regen`):
+// every pinned trace, analysed leniently, must render to its listed hash.
+TEST(CubeXml, GoldenCorpusMatchesPinnedHashes) {
+  const std::string dir = ATS_GOLDEN_DIR;
+  std::ifstream list(dir + "/cube_xml.fnv1a64");
+  ASSERT_TRUE(list) << "missing " << dir << "/cube_xml.fnv1a64";
+  std::map<std::string, std::string> pinned;
+  std::string name, hex;
+  while (list >> name >> hex) pinned[name] = hex;
+
+  analyze::AnalyzerOptions aopt;
+  aopt.lenient = true;
+  std::size_t checked = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".trace") continue;
+    name = e.path().stem().string();
+    std::ifstream in(e.path(), std::ios::binary);
+    const trace::LoadResult lr = trace::load_trace(in);
+    ASSERT_TRUE(lr.ok()) << name;
+    const std::string xml =
+        cube_xml(analyze::analyze(lr.trace, aopt), lr.trace);
+    char got[17];
+    std::snprintf(got, sizeof got, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(xml)));
+    const auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << name << " has no pinned cube_xml hash";
+    EXPECT_EQ(got, it->second) << name << ": cube_xml drifted";
+    ++checked;
+  }
+  EXPECT_EQ(checked, pinned.size()) << "hash list names a missing trace";
+  EXPECT_GE(checked, 29u);
 }
 
 TEST(FaultInjection, DisabledPatternIsNotReported) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/hash.hpp"
 #include "common/strutil.hpp"
 #include "runner/supervisor.hpp"
 

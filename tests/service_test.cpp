@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/fsatomic.hpp"
+#include "common/hash.hpp"
 #include "runner/supervisor.hpp"
 #include "service/admission.hpp"
 #include "service/cache.hpp"
@@ -116,7 +117,7 @@ QueuedRequest make_task(const std::string& line) {
   QueuedRequest t;
   t.req = parse_request(line);
   t.canonical = canonical_request_line(t.req);
-  t.id = runner::fnv1a64(t.canonical);
+  t.id = fnv1a64(t.canonical);
   return t;
 }
 
@@ -497,10 +498,10 @@ TEST(ServiceServer, InterruptedWorkRecoversExactlyOnce) {
   // were in flight) plus one request that did complete.
   const Request req = parse_request("analyze prop=late_sender np=4");
   const std::string canonical = canonical_request_line(req);
-  const std::uint64_t id = runner::fnv1a64(canonical);
+  const std::uint64_t id = fnv1a64(canonical);
   const Request done_req = parse_request("analyze prop=late_sender np=2");
   const std::uint64_t done_id =
-      runner::fnv1a64(canonical_request_line(done_req));
+      fnv1a64(canonical_request_line(done_req));
   {
     AtomicJournal j(state + "/inflight.journal");
     std::ostringstream admit1, admit2, admit3, done;
