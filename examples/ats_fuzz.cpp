@@ -1,7 +1,7 @@
 // ats_fuzz — the metamorphic fuzzing harness (DESIGN.md §10).
 //
 // Draws deterministic random composite programs from master seeds, runs
-// each through the whole pipeline (simulate on both engine backends,
+// each through the whole pipeline (simulate twice on fresh engines,
 // serialise, reload, analyse, optionally corrupt), and checks the oracle
 // relations of src/proptest/oracle.hpp.  Any violating spec is printed —
 // and, with --shrink, minimised by delta debugging — as a self-contained

@@ -1,7 +1,7 @@
 // Environment-variable helpers shared by the runtime-configuration knobs
-// (ATS_ENGINE_BACKEND, ATS_JOBS, ...).  Thin wrappers over std::getenv
-// that normalise the two cases callers actually care about: "unset or
-// empty" versus "has a value".
+// (ATS_JOBS, ...).  Thin wrappers over std::getenv that normalise the two
+// cases callers actually care about: "unset or empty" versus "has a
+// value".
 #pragma once
 
 #include <cstdlib>

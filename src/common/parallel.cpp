@@ -56,6 +56,10 @@ void ThreadPool::worker_main() {
     }
     if (!grid) continue;  // grid already finished by faster peers
     drain(*grid);
+    // The caller checks grid->done under mu_ before it waits; passing
+    // through mu_ here orders this worker's last increment before the
+    // notify, so the wake-up cannot fall between that check and the wait.
+    { std::lock_guard<std::mutex> lk(mu_); }
     done_cv_.notify_one();
   }
 }

@@ -142,7 +142,7 @@ struct PropertyDef {
 /// The same audit found the remaining function-local statics on the
 /// request path: Registry::instance() here, the process-wide pool inside
 /// par::parallel_for (magic-static, same guarantee; the service uses its
-/// own pool), and Engine's backend registry — all immutable-after-init.
+/// own pool) — all immutable-after-init.
 class Registry {
  public:
   static const Registry& instance();

@@ -26,6 +26,12 @@ int element_count(std::int64_t bytes, Datatype type) {
                           static_cast<std::int64_t>(datatype_size(type)));
 }
 
+// Zero-count messages may carry null buffers, and memcpy's pointers must
+// be valid even for a zero length.
+void copy_payload(void* dst, const void* src, std::int64_t bytes) {
+  if (bytes > 0) std::memcpy(dst, src, static_cast<std::size_t>(bytes));
+}
+
 }  // namespace
 
 std::optional<detail::PendingMsg> Proc::match_unexpected(Comm& comm,
@@ -119,7 +125,7 @@ void Proc::send_impl(const void* data, int count, Datatype type, int dest,
                        std::to_string(dest) + " posted only " +
                        std::to_string(pr->capacity_bytes));
       }
-      std::memcpy(pr->data, data, static_cast<std::size_t>(bytes));
+      copy_payload(pr->data, data, bytes);
       const VTime completion = later(avail, pr->posted_at);
       pr->req->is_recv = true;
       pr->req->comm_tid = comm.trace_id();
@@ -150,7 +156,7 @@ void Proc::send_impl(const void* data, int count, Datatype type, int dest,
     }
     const VTime start = later(ctx_.now(), pr->posted_at);
     const VTime end = start + cm.p2p_latency + cm.transfer_time(bytes);
-    std::memcpy(pr->data, data, static_cast<std::size_t>(bytes));
+    copy_payload(pr->data, data, bytes);
     pr->req->is_recv = true;
     pr->req->comm_tid = comm.trace_id();
     pr->req->peer_loc = ctx_.id();
@@ -216,7 +222,7 @@ Request Proc::isend_impl(const void* data, int count, Datatype type,
       if (bytes > pr->capacity_bytes) {
         throw MpiError("message truncation on isend");
       }
-      std::memcpy(pr->data, data, static_cast<std::size_t>(bytes));
+      copy_payload(pr->data, data, bytes);
       const VTime completion = later(avail, pr->posted_at);
       pr->req->is_recv = true;
       pr->req->comm_tid = comm.trace_id();
@@ -244,7 +250,7 @@ Request Proc::isend_impl(const void* data, int count, Datatype type,
     }
     const VTime start = later(ctx_.now(), pr->posted_at);
     const VTime end = start + cm.p2p_latency + cm.transfer_time(bytes);
-    std::memcpy(pr->data, data, static_cast<std::size_t>(bytes));
+    copy_payload(pr->data, data, bytes);
     pr->req->is_recv = true;
     pr->req->comm_tid = comm.trace_id();
     pr->req->peer_loc = ctx_.id();
@@ -308,7 +314,7 @@ void Proc::recv(void* data, int count, Datatype type, int src, int tag,
                                 element_count(bytes, m->type)});
       }
     }
-    std::memcpy(data, m->payload.data(), static_cast<std::size_t>(bytes));
+    copy_payload(data, m->payload.data(), bytes);
     ctx_.advance_to(end);
     st_out = Status{m->src_rank, m->tag, bytes, element_count(bytes, type)};
     tr->recv(ctx_.id(), ctx_.now(), comm.member(m->src_rank), m->tag,
@@ -371,7 +377,7 @@ Request Proc::irecv(void* data, int count, Datatype type, int src, int tag,
                                 element_count(bytes, m->type)});
       }
     }
-    std::memcpy(data, m->payload.data(), static_cast<std::size_t>(bytes));
+    copy_payload(data, m->payload.data(), bytes);
     st->peer_loc = comm.member(m->src_rank);
     complete_request(
         *st, end, Status{m->src_rank, m->tag, bytes,

@@ -238,7 +238,7 @@ MpiRunResult run_mpi(const MpiRunOptions& options,
   simt::Engine engine(options.engine);
   World world(engine, options.nprocs, options.cost, sink);
   // Failure dumps report the trace payload next to location states; both
-  // figures are identical across backends, keeping dumps parity-safe.
+  // figures are deterministic, so re-runs produce identical dumps.
   engine.set_resource_probe([trace = sink] {
     simt::EngineResources r;
     r.trace_bytes = trace->memory_bytes();

@@ -276,7 +276,7 @@ const char* to_string(Oracle o) {
     case Oracle::kNegativeQuiet: return "negative-quiet";
     case Oracle::kMonotone: return "monotone";
     case Oracle::kMaskPermutation: return "mask-permutation";
-    case Oracle::kBackendDifferential: return "backend-differential";
+    case Oracle::kRerunDifferential: return "rerun-differential";
     case Oracle::kLoaderDifferential: return "loader-differential";
     case Oracle::kFormatDifferential: return "format-differential";
     case Oracle::kCorruptionInvariant: return "corruption-invariant";
@@ -297,14 +297,13 @@ std::string CheckResult::str() const {
   return os.str();
 }
 
-RunResult run_program(const ProgramSpec& spec, simt::EngineBackend backend) {
+RunResult run_program(const ProgramSpec& spec) {
   RunResult res;
   const int nprocs = effective_nprocs(spec);
 
   gen::RunConfig cfg;
   cfg.nprocs = nprocs;
   cfg.engine.seed = SplitSeed(spec.seed).child("engine").value();
-  cfg.engine.backend = backend;
   cfg.engine.virtual_time_limit = VDur::seconds(kVirtualLimitSec);
   cfg.engine.yield_limit = kYieldLimit;
   cfg.faults = fault_plan(spec, nprocs);
@@ -365,9 +364,9 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
 
   const auto& reg = gen::Registry::instance();
   const std::vector<RunOutcome> expected = expected_outcomes(spec);
-  auto check_outcome = [&](const RunResult& r, const char* backend) {
+  auto check_outcome = [&](const RunResult& r, const char* which) {
     if (r.unclassified) {
-      violate(Oracle::kOutcome, std::string(backend) +
+      violate(Oracle::kOutcome, std::string(which) +
                                     ": unclassified exception escaped: " +
                                     r.error);
       return;
@@ -379,43 +378,48 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
         if (!want.empty()) want += "|";
         want += gen::to_string(o);
       }
-      violate(Oracle::kOutcome, std::string(backend) + ": outcome " +
+      violate(Oracle::kOutcome, std::string(which) + ": outcome " +
                                     gen::to_string(r.outcome) +
                                     ", expected " + want +
                                     (r.error.empty() ? "" : " (" + r.error + ")"));
     }
   };
 
-  // --- crash/hang + backend-differential oracles -------------------------
-  RunResult base = run_program(spec, simt::EngineBackend::kFiber);
+  // --- crash/hang + re-run differential oracles --------------------------
+  // A second fresh run of the same spec must end the same way, record the
+  // same trace bytes (salvaged ones included) and the same fault report.
+  RunResult base = run_program(spec);
   res.outcome = base.outcome;
-  check_outcome(base, "fiber");
-  const RunResult threads = run_program(spec, simt::EngineBackend::kThread);
-  check_outcome(threads, "thread");
+  check_outcome(base, "run");
+  const RunResult rerun = run_program(spec);
+  check_outcome(rerun, "re-run");
+  const std::string base_bytes = save_text(base.trace);
 
-  if (!base.unclassified && !threads.unclassified) {
-    if (threads.outcome != base.outcome) {
-      violate(Oracle::kBackendDifferential,
-              std::string("fiber ended ") + gen::to_string(base.outcome) +
-                  ", thread ended " + gen::to_string(threads.outcome));
-    } else if (base.outcome == RunOutcome::kOk) {
-      if (save_text(base.trace) != save_text(threads.trace)) {
-        violate(Oracle::kBackendDifferential,
-                "fiber and thread traces are not bit-identical");
-      }
+  if (!base.unclassified && !rerun.unclassified) {
+    if (rerun.outcome != base.outcome || rerun.error != base.error) {
+      violate(Oracle::kRerunDifferential,
+              std::string("run ended ") + gen::to_string(base.outcome) +
+                  " (" + base.error + "), re-run ended " +
+                  gen::to_string(rerun.outcome) + " (" + rerun.error + ")");
+    } else if (base_bytes != save_text(rerun.trace)) {
+      violate(Oracle::kRerunDifferential,
+              "run and re-run traces are not bit-identical");
+    } else if (base.fault_report.str() != rerun.fault_report.str()) {
+      violate(Oracle::kRerunDifferential,
+              "run and re-run rank-fault reports differ");
     }
   }
 
   // --- injected collective defect: must-detect oracle ---------------------
   // The remaining oracles assume a structurally sound program, so a spec
   // with an injected miscall is judged here and returns: the checker must
-  // report the expected DefectKind from each backend's salvaged trace, and
-  // both backends must render identical defect reports.
+  // report the expected DefectKind from each run's salvaged trace, and
+  // both runs must render identical defect reports.
   if (spec.coll_defect != SpecCollDefect::kNone) {
     const analyze::DefectKind want = defect_kind(spec.coll_defect);
     auto defect_report =
         [&](const RunResult& r,
-            const char* backend) -> std::optional<std::string> {
+            const char* which) -> std::optional<std::string> {
       if (r.unclassified) return std::nullopt;
       AnalyzerOptions lenient;
       lenient.disabled_patterns = options.disabled_patterns;
@@ -429,7 +433,7 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
                         });
         if (!found) {
           violate(Oracle::kCollectiveCheck,
-                  std::string(backend) + ": injected " +
+                  std::string(which) + ": injected " +
                       std::string(to_string(spec.coll_defect)) +
                       " not reported (" + std::to_string(dar.defects.size()) +
                       " defects found)");
@@ -437,23 +441,23 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
         return report::render_defects(dar, r.trace);
       } catch (const std::exception& e) {
         violate(Oracle::kCollectiveCheck,
-                std::string(backend) +
+                std::string(which) +
                     ": analysis of the salvaged trace threw: " +
                     first_line(e.what()));
         return std::nullopt;
       }
     };
-    const auto fiber_report = defect_report(base, "fiber");
-    const auto thread_report = defect_report(threads, "thread");
-    if (fiber_report && thread_report && *fiber_report != *thread_report) {
-      violate(Oracle::kBackendDifferential,
-              "fiber and thread defect reports differ");
+    const auto first_report = defect_report(base, "run");
+    const auto second_report = defect_report(rerun, "re-run");
+    if (first_report && second_report && *first_report != *second_report) {
+      violate(Oracle::kRerunDifferential,
+              "run and re-run defect reports differ");
     }
     return res;
   }
 
   if (base.outcome != RunOutcome::kOk || base.unclassified) return res;
-  const std::string pristine = save_text(base.trace);
+  const std::string& pristine = base_bytes;
 
   // --- loader differential on the pristine bytes --------------------------
   {
@@ -616,8 +620,7 @@ CheckResult check_spec(const ProgramSpec& spec, const CheckOptions& options) {
       if (has_delay_knob(def) && spec.rank_fault == SpecRankFault::kNone) {
         ProgramSpec doubled = spec;
         doubled.delay_us *= 2;
-        const RunResult more =
-            run_program(doubled, simt::EngineBackend::kFiber);
+        const RunResult more = run_program(doubled);
         if (more.outcome != RunOutcome::kOk || more.unclassified) {
           violate(Oracle::kMonotone,
                   std::string("doubled-delay variant ended ") +

@@ -6,10 +6,11 @@
 //   metamorphic   — severity is monotone in the spec's delay knob; the
 //                   order of disabled analyzer patterns never changes the
 //                   surviving severities; a negative spec stays quiet.
-//   differential  — fiber and thread backends serialise bit-identical
-//                   traces; the strict and lenient trace loaders agree on
-//                   whether a byte stream is pristine, and both round-trip
-//                   it exactly.
+//   differential  — a second fresh run of the spec ends the same way and
+//                   serialises a bit-identical trace, fault report and
+//                   defect report; the strict and lenient trace loaders
+//                   agree on whether a byte stream is pristine, and both
+//                   round-trip it exactly.
 //   invariant     — a trace corrupted by the seeded FaultInjector is
 //                   analysed leniently without throwing, and structural
 //                   duplications are either diagnosed in DataQuality or
@@ -31,7 +32,6 @@
 #include "analyzer/analyzer.hpp"
 #include "gen/registry.hpp"
 #include "proptest/progspec.hpp"
-#include "simt/engine.hpp"
 
 namespace ats::proptest {
 
@@ -42,7 +42,7 @@ enum class Oracle : std::uint8_t {
   kNegativeQuiet,        ///< negative spec: a wait state dominates anyway
   kMonotone,             ///< severity shrank when the delay grew
   kMaskPermutation,      ///< disabled-pattern order changed the result
-  kBackendDifferential,  ///< fiber and thread runs disagree
+  kRerunDifferential,    ///< two fresh runs of the same spec disagree
   kLoaderDifferential,   ///< strict and lenient loaders disagree
   kFormatDifferential,   ///< binary and text containers disagree: the
                          ///< binary writer + zero-copy loader must
@@ -69,7 +69,7 @@ struct Violation {
   std::string str() const;
 };
 
-/// One simulated execution of a spec's program under one backend.
+/// One simulated execution of a spec's program.
 struct RunResult {
   gen::RunOutcome outcome = gen::RunOutcome::kOk;
   /// A non-ATS exception escaped the run — itself an oracle violation.
@@ -83,11 +83,11 @@ struct RunResult {
 };
 
 /// Executes the spec's program (single property, mix, or split-communicator
-/// composite) on the given backend.  Every sub-seed — engine schedule, rank
+/// composite) on a fresh engine.  Every sub-seed — engine schedule, rank
 /// faults — derives from spec.seed via SplitSeed children.  Supervision
 /// budgets are always armed, so pathological specs terminate as kDeadlock /
 /// kHang instead of wedging the fuzzer.
-RunResult run_program(const ProgramSpec& spec, simt::EngineBackend backend);
+RunResult run_program(const ProgramSpec& spec);
 
 struct CheckOptions {
   /// Injected analyzer defect (ats_fuzz --defect): the fuzzer must then

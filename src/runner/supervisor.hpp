@@ -46,8 +46,7 @@ struct SupervisorOptions {
   std::uint64_t yield_limit = 10'000'000;
   /// Per-cell host wall-clock budget (zero = none).  Enforced by the
   /// engine's scheduler loop itself between handoffs — no watchdog
-  /// thread on either execution backend — so it can only trip while
-  /// locations still yield.
+  /// thread — so it can only trip while locations still yield.
   std::chrono::milliseconds wall_clock_limit{0};
 
   /// Journal file: completed cells are appended as they finish, each

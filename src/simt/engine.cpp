@@ -1,12 +1,51 @@
 #include "simt/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
-#include "common/env.hpp"
-#include "simt/backend.hpp"
+#include "simt/fiber.hpp"
+#include "simt/stack_pool.hpp"
 
 namespace ats::simt {
+
+namespace detail {
+
+/// Thrown through parked locations to unwind their stacks during poisoned
+/// shutdown; location_main absorbs it.  Never escapes the engine.
+struct ShutdownSignal {};
+
+struct Location {
+  LocationId id = kNoLocation;
+  LocationId parent = kNoLocation;
+  std::string name;
+  LocationBody body;
+  LocationState state = LocationState::kRunnable;
+  const char* block_reason = "";
+  VTime now;
+  std::exception_ptr error;
+  std::unique_ptr<Context> context;
+  std::unique_ptr<Rng> rng;
+  // join bookkeeping: set while blocked in Context::join()
+  std::vector<LocationId> joining;
+  // Reverse index: locations blocked in join() waiting on *this* location.
+  // Lets a finishing location wake exactly its joiners instead of scanning
+  // every location (the scan was O(locations) per finish — quadratic over
+  // a 100k-location run).
+  std::vector<LocationId> waiters;
+  // supervision hook (set_resume_hook); in_hook guards re-entry when the
+  // hook itself advances or yields.
+  LocationBody resume_hook;
+  bool in_hook = false;
+  // The fiber and its pooled stack exist only between the first resume
+  // and the finish, so at any instant the pool holds stacks for *active*
+  // locations only: a spawned-but-idle or finished location costs a few
+  // hundred bytes, not a quarter-megabyte of pages.
+  std::optional<Fiber> fiber;
+  char* slab = nullptr;
+};
+
+}  // namespace detail
 
 const char* to_string(LocationState s) {
   switch (s) {
@@ -16,36 +55,6 @@ const char* to_string(LocationState s) {
     case LocationState::kFinished: return "finished";
   }
   return "?";
-}
-
-const char* to_string(EngineBackend b) {
-  switch (b) {
-    case EngineBackend::kAuto: return "auto";
-    case EngineBackend::kFiber: return "fiber";
-    case EngineBackend::kThread: return "thread";
-  }
-  return "?";
-}
-
-EngineBackend resolve_backend(EngineBackend requested) {
-  if (requested == EngineBackend::kAuto) {
-    if (const auto env = env_value("ATS_ENGINE_BACKEND")) {
-      if (*env == "fiber") {
-        requested = EngineBackend::kFiber;
-      } else if (*env == "thread") {
-        requested = EngineBackend::kThread;
-      } else {
-        throw UsageError("ATS_ENGINE_BACKEND: unknown backend '" + *env +
-                         "' (expected fiber or thread)");
-      }
-    }
-    if (requested == EngineBackend::kAuto) requested = EngineBackend::kFiber;
-  }
-#if !ATS_SIMT_HAS_FIBERS
-  // ThreadSanitizer cannot follow fiber switches; fibers are compiled out.
-  if (requested == EngineBackend::kFiber) requested = EngineBackend::kThread;
-#endif
-  return requested;
 }
 
 namespace {
@@ -80,29 +89,26 @@ void Context::advance_to(VTime t) {
 
 void Context::yield() {
   detail::Location* l = engine_->loc(id_);
-  if (engine_->poisoned_.load(std::memory_order_acquire)) {
-    throw detail::ShutdownSignal{};
-  }
+  // A location that absorbed a ShutdownSignal must not park again.
+  if (engine_->poisoned_) throw detail::ShutdownSignal{};
   engine_->check_running(id_, "Context::yield");
   ++engine_->stats_.yields;
   engine_->make_runnable(l);
-  engine_->backend_->suspend(l);
+  engine_->suspend(l);
   l->state = LocationState::kRunning;
   engine_->run_resume_hook(l);
 }
 
 void Context::block(const char* reason) {
   detail::Location* l = engine_->loc(id_);
-  if (engine_->poisoned_.load(std::memory_order_acquire)) {
-    throw detail::ShutdownSignal{};
-  }
+  if (engine_->poisoned_) throw detail::ShutdownSignal{};
   engine_->check_running(id_, "Context::block");
   ++engine_->stats_.blocks;
   l->state = LocationState::kBlocked;
   l->block_reason = reason;
   // No ready-queue entry: Engine::wake (or a finishing join child) pushes
   // one when this location becomes runnable again.
-  engine_->backend_->suspend(l);
+  engine_->suspend(l);
   l->state = LocationState::kRunning;
   l->block_reason = "";
   engine_->run_resume_hook(l);
@@ -156,13 +162,12 @@ void Context::join(std::span<const LocationId> children) {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      backend_kind_(resolve_backend(options.backend)),
-      backend_(detail::make_backend(backend_kind_, this, options_)) {}
+      pool_(std::make_unique<detail::StackPool>(
+          std::max<std::size_t>(options.fiber_stack_bytes, 64 * 1024))) {}
 
 Engine::~Engine() {
   // Normal completion (and every failure path) shuts down inside run();
-  // this covers engines that were never run.  Parked locations are
-  // unwound so stacks and threads are released before members die.
+  // this covers engines that were never run.
   shutdown();
 }
 
@@ -194,7 +199,7 @@ void Engine::set_resume_hook(LocationId id, LocationBody hook) {
 }
 
 void Engine::run_resume_hook(detail::Location* l) {
-  // Runs in the location's execution context with the token held.  The
+  // Runs on the location's fiber with the token held.  The
   // hook may advance/yield (which re-enters this function; in_hook
   // suppresses the recursion) and may throw into the location body.
   if (!l->resume_hook || l->in_hook) return;
@@ -226,16 +231,12 @@ LocationId Engine::spawn_internal(std::string name, LocationBody body,
   detail::Location* raw = l.get();
   locations_.push_back(std::move(l));
   ++stats_.spawns;
-  backend_->adopt(raw);
   make_runnable(raw);
   return id;
 }
 
 void Engine::location_main(detail::Location* l) {
-  // The body driver, run inside the location's execution context by the
-  // backend (fiber trampoline / location thread) each time from the top.
   l->state = LocationState::kRunning;
-  // Token is held here on both backends, so the counters need no lock.
   ++stats_.live_locations;
   if (stats_.live_locations > stats_.peak_live_locations) {
     stats_.peak_live_locations = stats_.live_locations;
@@ -249,9 +250,9 @@ void Engine::location_main(detail::Location* l) {
   } catch (...) {
     l->error = std::current_exception();
   }
-  if (unwound || poisoned_.load(std::memory_order_acquire)) {
-    // Poisoned teardown: locations exit concurrently on the thread
-    // backend, so shared bookkeeping is deferred to Engine::shutdown().
+  if (unwound || poisoned_) {
+    // Poisoned teardown: Engine::shutdown() finalises the bookkeeping of
+    // every location at once.
     return;
   }
   l->state = LocationState::kFinished;
@@ -259,7 +260,30 @@ void Engine::location_main(detail::Location* l) {
   --stats_.live_locations;
   if (l->error && !first_error_) first_error_ = l->error;
   maybe_wake_joiners(l);
-  // The backend performs the final handoff to the scheduler on return.
+  // Returning ends the fiber: its final switch goes back to the scheduler.
+}
+
+void Engine::resume(detail::Location* l) {
+  if (!l->fiber) {
+    l->slab = pool_->acquire();
+    l->fiber.emplace(l->slab, pool_->slab_bytes(),
+                     [this, l] { location_main(l); });
+  }
+  l->fiber->resume();
+  // The slab is recycled the moment the body returns: control is back on
+  // the scheduler's stack here, so no live frame can touch it.
+  if (l->fiber->finished()) {
+    l->fiber.reset();
+    pool_->release(l->slab);
+    l->slab = nullptr;
+  }
+}
+
+void Engine::suspend(detail::Location* l) {
+  l->fiber->suspend();
+  // shutdown() resumes parked fibers exactly so that this throw unwinds
+  // their stacks at the park point.
+  if (poisoned_) throw detail::ShutdownSignal{};
 }
 
 void Engine::make_runnable(detail::Location* l) {
@@ -353,7 +377,7 @@ void Engine::run() {
       break;
     }
     running_ = next->id;
-    backend_->resume(next);
+    resume(next);
     running_ = kNoLocation;
   }
   shutdown();
@@ -365,18 +389,26 @@ void Engine::run() {
 void Engine::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
-  poisoned_.store(true, std::memory_order_release);
-  if (backend_) backend_->shutdown();
-  // The backend has quiesced: finish bookkeeping for every location that
-  // was unwound (or never started) is safe single-threaded here.
+  poisoned_ = true;
+  // Unwind every parked fiber (a location has one only between its first
+  // resume and its finish): resuming it makes suspend() throw
+  // ShutdownSignal at its park point; location_main absorbs the signal and
+  // the fiber finishes.  The whole throw/catch runs on the fiber's own
+  // stack, so unwinding parked frames (and their destructors) is ordinary
+  // exception handling.  Context calls throw at once when poisoned, so an
+  // unwind cannot park a fiber again.  Indexed: an unwinding body may
+  // still append locations, which never get a fiber.
+  for (std::size_t i = 0; i < locations_.size(); ++i) {
+    if (locations_[i]->fiber) resume(locations_[i].get());
+  }
   for (auto& l : locations_) {
     if (l->state != LocationState::kFinished) {
       l->state = LocationState::kFinished;
       ++finished_count_;
     }
   }
-  // Unwound locations skipped their own decrement (they must not touch
-  // engine state on the poisoned path); everything is finished now.
+  // Unwound locations skipped their own decrement; everything is finished
+  // now.
   stats_.live_locations = 0;
 }
 
@@ -390,9 +422,9 @@ std::string Engine::state_dump(const std::string& headline) const {
                                                 << ")";
     os << "\n";
   }
-  // Peak-RSS proxy: live location count (== live fiber stacks on the fiber
-  // backend) plus the trace payload when a probe is installed.  Everything
-  // here is backend-deterministic — parity tests compare dumps verbatim.
+  // Peak-RSS proxy: live location count (== live fiber stacks) plus the
+  // trace payload when a probe is installed.  Everything here is
+  // deterministic — determinism tests compare dumps verbatim.
   os << "  resources: locations=" << locations_.size() << " live="
      << stats_.live_locations << " peak=" << stats_.peak_live_locations;
   if (resource_probe_) {
@@ -444,27 +476,5 @@ VTime Engine::horizon() const {
   for (const auto& l : locations_) h = later(h, l->now);
   return h;
 }
-
-namespace detail {
-
-std::unique_ptr<ExecutionBackend> make_backend(
-    EngineBackend kind, Engine* engine,
-    [[maybe_unused]] const EngineOptions& options) {
-  switch (kind) {
-#if ATS_SIMT_HAS_FIBERS
-    case EngineBackend::kFiber:
-      return std::make_unique<FiberBackend>(engine,
-                                            options.fiber_stack_bytes);
-#endif
-    case EngineBackend::kThread:
-      return std::make_unique<ThreadBackend>(engine);
-    default:
-      break;
-  }
-  throw UsageError(std::string("engine backend unavailable: ") +
-                   to_string(kind));
-}
-
-}  // namespace detail
 
 }  // namespace ats::simt

@@ -14,25 +14,19 @@
 //  * simulated waiting costs no host CPU: a blocked location's clock jumps
 //    forward when it is woken.
 //
-// *How* the token moves is an execution-backend choice (DESIGN.md §9):
-//
-//  * kFiber (default): every location is a stackful fiber on the caller's
-//    thread; a handoff is one userspace register switch — no mutex, no
-//    condition variable, no kernel.
-//  * kThread: every location is an OS thread; a handoff is a directed
-//    condition-variable signal.  ~50× slower per handoff, but visible to
-//    ThreadSanitizer, which cannot follow fiber switches.
-//
-// Scheduling decisions, statistics, budgets and failure dumps live above
-// the backend, so both produce bit-identical traces, EngineStats and
-// deadlock/hang dumps (pinned by tests/backend_parity_test.cpp).
+// Every location is a stackful fiber (simt/fiber.hpp) on the thread that
+// calls run(); a handoff is one userspace register switch — no mutex, no
+// condition variable, no kernel (DESIGN.md §9).  Fibers are annotated for
+// AddressSanitizer and ThreadSanitizer, so sanitizer builds run the same
+// engine.  Only that one thread ever touches engine state.  Determinism —
+// identical traces, EngineStats and deadlock/hang dumps for the same
+// inputs — is pinned by re-running (tests/determinism_test.cpp).
 //
 // This is the substrate on which mpisim and ompsim implement MPI-like and
 // OpenMP-like semantics.  It replaces the real parallel machine of the ATS
 // paper with an exact, laptop-scale equivalent (see DESIGN.md §2).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -57,11 +51,10 @@ class Context;
 
 namespace detail {
 struct Location;
-class ExecutionBackend;
+class StackPool;
 }  // namespace detail
 
-/// A location's body: runs in its own execution context (fiber or OS
-/// thread) under the engine token.
+/// A location's body: runs on its own fiber under the engine token.
 using LocationBody = std::function<void(Context&)>;
 
 enum class LocationState : std::uint8_t {
@@ -73,31 +66,13 @@ enum class LocationState : std::uint8_t {
 
 const char* to_string(LocationState s);
 
-/// How locations execute (see the header comment).
-enum class EngineBackend : std::uint8_t {
-  kAuto,    ///< ATS_ENGINE_BACKEND env var ("fiber"/"thread"), else fiber
-  kFiber,   ///< stackful fibers on the calling thread (fast path)
-  kThread,  ///< one OS thread per location (TSan-friendly fallback)
-};
-
-const char* to_string(EngineBackend b);
-
-/// Resolves kAuto against the ATS_ENGINE_BACKEND environment variable
-/// (default fiber).  Under ThreadSanitizer builds — where fibers are
-/// unavailable — every request resolves to kThread.  Throws UsageError on
-/// an unrecognised environment value.
-EngineBackend resolve_backend(EngineBackend requested);
-
 struct EngineOptions {
   /// Seed for the per-location deterministic RNG streams.
   std::uint64_t seed = 0x415453;  // "ATS"
   /// Hard cap on locations, as a runaway-fork backstop.
   std::size_t max_locations = 4096;
 
-  /// Execution backend; kAuto resolves via ATS_ENGINE_BACKEND.  An
-  /// explicit kFiber/kThread here wins over the environment.
-  EngineBackend backend = EngineBackend::kAuto;
-  /// Stack size per location on the fiber backend (clamped to >= 64 KiB).
+  /// Stack size per location fiber (clamped to >= 64 KiB).
   /// Location bodies in this repo are shallow; raise it for deep client
   /// recursion.
   std::size_t fiber_stack_bytes = 256 * 1024;
@@ -115,9 +90,9 @@ struct EngineOptions {
   /// that keep yielding without ever advancing virtual time.
   std::uint64_t yield_limit = 0;
   /// Host wall-clock budget for run(), checked periodically by the
-  /// scheduler loop itself (no cooperating watchdog thread on either
-  /// backend).  A backstop against host-level hangs; it can only trigger
-  /// while locations still yield.
+  /// scheduler loop itself (no cooperating watchdog thread).  A backstop
+  /// against host-level hangs; it can only trigger while locations still
+  /// yield.
   std::chrono::milliseconds wall_clock_limit{0};
 };
 
@@ -126,9 +101,9 @@ struct EngineStats {
   std::uint64_t yields = 0;
   std::uint64_t blocks = 0;
   std::uint64_t wakes = 0;
-  /// Locations whose body has started and not yet finished.  On the fiber
-  /// backend this equals the number of live pooled stacks, so it is the
-  /// backend-neutral peak-RSS proxy surfaced in hang/deadlock dumps.
+  /// Locations whose body has started and not yet finished.  This equals
+  /// the number of live pooled fiber stacks, so it is the peak-RSS proxy
+  /// surfaced in hang/deadlock dumps.
   std::uint64_t live_locations = 0;
   std::uint64_t peak_live_locations = 0;
 };
@@ -142,8 +117,8 @@ struct EngineResources {
 };
 
 /// Handle passed to a location body; the only way a body interacts with
-/// simulated time and the scheduler.  Valid only in the owning location's
-/// execution context while that location holds the token.
+/// simulated time and the scheduler.  Valid only on the owning location's
+/// fiber while that location holds the token.
 class Context {
  public:
   LocationId id() const { return id_; }
@@ -206,14 +181,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// The backend actually executing this engine (kAuto already resolved).
-  EngineBackend backend() const { return backend_kind_; }
-
   /// Adds a top-level location (before run()).  Returns its id; ids are
   /// assigned densely in spawn order.
   LocationId add_location(std::string name, LocationBody body);
 
-  /// Installs a hook invoked in `id`'s execution context each time the
+  /// Installs a hook invoked on `id`'s fiber each time the
   /// location obtains the token (at start and after every yield/block),
   /// before control returns to the body.  Fault injection uses this to
   /// crash or stall a location when its clock reaches a trigger time.  The
@@ -225,8 +197,8 @@ class Engine {
   /// Installs a callback the engine polls when composing a failure dump
   /// (deadlock/hang), so dumps can report trace memory alongside location
   /// states.  The probe runs on the scheduler's thread with no location
-  /// holding the token.  Values must be backend-deterministic — dumps are
-  /// compared verbatim between the fiber and thread backends.
+  /// holding the token.  Values must be deterministic — dumps are compared
+  /// verbatim between re-runs.
   void set_resource_probe(std::function<EngineResources()> probe) {
     resource_probe_ = std::move(probe);
   }
@@ -235,8 +207,8 @@ class Engine {
   /// Throws DeadlockError when all unfinished locations are blocked and
   /// HangError when a supervision budget (EngineOptions) is exhausted; on
   /// every exit path — completion or failure — all location stacks have
-  /// been unwound and all backend resources released before run() returns
-  /// or throws.
+  /// been unwound and all fiber stacks released before run() returns or
+  /// throws.
   void run();
 
   // --- introspection (valid after run(), or for finished locations) ---
@@ -262,7 +234,6 @@ class Engine {
 
  private:
   friend class Context;
-  friend class detail::ExecutionBackend;
 
   /// Ready-queue entry: a (clock, id) snapshot taken when the location
   /// became runnable.  A location's clock never changes while it sits in
@@ -276,9 +247,17 @@ class Engine {
   detail::Location* loc(LocationId id) const;
   LocationId spawn_internal(std::string name, LocationBody body,
                             LocationId parent, VTime start);
-  /// Body driver, run inside the location's execution context by the
-  /// backend: resume hook, body, error capture, finish bookkeeping.
+  /// Body driver, the entry of every location fiber: resume hook, body,
+  /// error capture, finish bookkeeping.
   void location_main(detail::Location* l);
+  /// Scheduler side: switches to `l`'s fiber (creating it on a pooled
+  /// stack at the first resume) and returns once `l` yields, blocks or
+  /// finishes; a finished fiber's stack goes straight back to the pool.
+  void resume(detail::Location* l);
+  /// Location side: switches back to the scheduler; returns when `l` is
+  /// resumed again, or throws ShutdownSignal if that resume is the
+  /// poisoned shutdown's unwind.
+  void suspend(detail::Location* l);
   /// Marks `l` runnable and pushes its (clock, id) onto the ready heap.
   void make_runnable(detail::Location* l);
   /// Pops the minimum-(clock, id) runnable location; nullptr = none left.
@@ -288,26 +267,30 @@ class Engine {
   /// Per-location state dump under `headline` (shared by deadlock/hang).
   std::string state_dump(const std::string& headline) const;
   std::string deadlock_dump() const;
-  void run_resume_hook(detail::Location* l);  // in the location's context
+  void run_resume_hook(detail::Location* l);  // on the location's fiber
   void maybe_wake_joiners(detail::Location* finished);
-  /// Poisons the engine, unwinds every unfinished location through the
-  /// backend and finalises their bookkeeping.  Idempotent; called by run()
+  /// Poisons the engine, unwinds every started, unfinished fiber and
+  /// finalises every location's bookkeeping.  Idempotent; called by run()
   /// on every exit path and by the destructor for never-run engines.
   void shutdown();
 
   EngineOptions options_;
-  EngineBackend backend_kind_;
   EngineStats stats_;
+  // Fiber stacks; outlives locations_.  Behind a pointer, which keeps the
+  // internal pool header out of this one and keeps the heap allocation
+  // pattern a separately allocated backend used to give: held inline,
+  // glibc trimmed and re-faulted the heap top between the large message
+  // buffers of scatter/gather-heavy runs (those sweep cells ran ~1.6x
+  // slower).
+  std::unique_ptr<detail::StackPool> pool_;
 
-  std::unique_ptr<detail::ExecutionBackend> backend_;
   LocationId running_ = kNoLocation;  // token holder; kNoLocation =
                                       // scheduler's turn
   bool started_ = false;
   bool shutdown_done_ = false;
   /// Set (once) when the engine starts tearing down; locations observing
-  /// it unwind via ShutdownSignal.  Atomic because thread-backend
-  /// locations read it while exiting concurrently during shutdown.
-  std::atomic<bool> poisoned_{false};
+  /// it unwind via ShutdownSignal.
+  bool poisoned_ = false;
   std::vector<std::unique_ptr<detail::Location>> locations_;
   std::vector<ReadyEntry> ready_;  // min-heap on (clock, id)
   std::size_t finished_count_ = 0;

@@ -1,11 +1,16 @@
 #include "simt/fiber.hpp"
 
-#if ATS_SIMT_HAS_FIBERS
-
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <utility>
+
+#if defined(ATS_FIBER_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(ATS_FIBER_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace ats::simt {
 
@@ -163,25 +168,14 @@ Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
       stack_bytes_(stack_bytes) {
   assert(stack_bytes_ >= 16 * 1024 && "fiber stack too small");
   fiber_sp_ = make_initial_frame(stack_, stack_bytes_, this);
+#if defined(ATS_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
-Fiber::~Fiber() = default;
+void Fiber::switch_in() { ats_fiber_switch(&return_sp_, fiber_sp_); }
 
-void Fiber::resume() {
-  assert(!finished_ && "resume of a finished fiber");
-  started_ = true;
-  ats_fiber_switch(&return_sp_, fiber_sp_);
-}
-
-void Fiber::suspend() { ats_fiber_switch(&fiber_sp_, return_sp_); }
-
-void Fiber::run_entry() {
-  entry_();
-  finished_ = true;
-  // Final switch out; nothing ever resumes a finished fiber, so control
-  // never comes back (the thunk's trap instruction guards the impossible).
-  ats_fiber_switch(&fiber_sp_, return_sp_);
-}
+void Fiber::switch_out() { ats_fiber_switch(&fiber_sp_, return_sp_); }
 
 #else  // ATS_FIBER_UCONTEXT
 
@@ -207,35 +201,85 @@ Fiber::Fiber(char* stack_base, std::size_t stack_bytes,
   getcontext(&fiber_ctx_);
   fiber_ctx_.uc_stack.ss_sp = stack_;
   fiber_ctx_.uc_stack.ss_size = stack_bytes_;
-  // When the trampoline returns, control goes back to the latest resume
-  // point (return_ctx_ is refreshed by every swap in resume()).
-  fiber_ctx_.uc_link = &return_ctx_;
+  // The trampoline never returns: run_entry() ends with an explicit final
+  // switch, exactly as on the raw path.
+  fiber_ctx_.uc_link = nullptr;
   const auto p = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&fiber_ctx_,
               reinterpret_cast<void (*)()>(
                   reinterpret_cast<void*>(&trampoline)),
               2, static_cast<unsigned>(p >> 32),
               static_cast<unsigned>(p & 0xffffffffu));
+#if defined(ATS_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
-Fiber::~Fiber() = default;
+void Fiber::switch_in() { swapcontext(&return_ctx_, &fiber_ctx_); }
 
-void Fiber::resume() {
-  assert(!finished_ && "resume of a finished fiber");
-  started_ = true;
-  swapcontext(&return_ctx_, &fiber_ctx_);
-}
-
-void Fiber::suspend() { swapcontext(&fiber_ctx_, &return_ctx_); }
-
-void Fiber::run_entry() {
-  entry_();
-  finished_ = true;
-  // Returning from the trampoline lands on uc_link == return_ctx_.
-}
+void Fiber::switch_out() { swapcontext(&fiber_ctx_, &return_ctx_); }
 
 #endif  // ATS_FIBER_RAW / ATS_FIBER_UCONTEXT
 
-}  // namespace ats::simt
+// Sanitizer protocol around every switch.  ASan: announce the destination
+// stack before switching (start_switch_fiber, saving the departing
+// context's fake stack) and finish on arrival (restoring the arriving
+// context's fake stack and learning the departed stack's bounds); a fiber
+// that leaves for good passes nullptr so its fake stack is freed.  TSan:
+// switch_to_fiber names the context that runs next, with synchronisation,
+// so the scheduler and its fibers are ordered like one thread.
 
-#endif  // ATS_SIMT_HAS_FIBERS
+Fiber::~Fiber() {
+#if defined(ATS_FIBER_TSAN)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
+void Fiber::resume() {
+  assert(!finished_ && "resume of a finished fiber");
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_start_switch_fiber(&return_fake_stack_, stack_, stack_bytes_);
+#endif
+#if defined(ATS_FIBER_TSAN)
+  tsan_return_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  switch_in();
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(return_fake_stack_, nullptr, nullptr);
+#endif
+}
+
+void Fiber::suspend() {
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_start_switch_fiber(&fake_stack_, return_bottom_, return_size_);
+#endif
+#if defined(ATS_FIBER_TSAN)
+  __tsan_switch_to_fiber(tsan_return_, 0);
+#endif
+  switch_out();
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack_, &return_bottom_,
+                                  &return_size_);
+#endif
+}
+
+void Fiber::run_entry() {
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(nullptr, &return_bottom_, &return_size_);
+#endif
+  entry_();
+  finished_ = true;
+#if defined(ATS_FIBER_ASAN)
+  __sanitizer_start_switch_fiber(nullptr, return_bottom_, return_size_);
+#endif
+#if defined(ATS_FIBER_TSAN)
+  __tsan_switch_to_fiber(tsan_return_, 0);
+#endif
+  // Final switch out; nothing ever resumes a finished fiber, so control
+  // never comes back (the raw thunk's trap instruction guards the
+  // impossible).
+  switch_out();
+}
+
+}  // namespace ats::simt

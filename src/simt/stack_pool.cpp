@@ -1,5 +1,7 @@
 #include "simt/stack_pool.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <cstdlib>
 #include <new>
 
@@ -85,6 +87,7 @@ void StackPool::release(char* base) {
   // reuse, so recycling a slab re-faults zero pages only as frames grow.
   ::madvise(base, slab_bytes_, MADV_DONTNEED);
 #endif
+  ASAN_UNPOISON_MEMORY_REGION(base, slab_bytes_);  // no-op without ASan
   free_.push_back(base);
   --live_;
 }

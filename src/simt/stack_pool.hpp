@@ -1,6 +1,6 @@
 // Pooled, lazily-committed fiber stacks (DESIGN.md §12).
 //
-// The naive fiber backend allocated (and zero-filled) a full stack per
+// The naive fiber engine allocated (and zero-filled) a full stack per
 // location up front: at 100k locations × 256 KiB that is ~25 GB of touched
 // pages before the first event is simulated.  The pool replaces that with
 // slabs carved out of large anonymous MAP_NORESERVE mappings:
@@ -14,7 +14,9 @@
 //    long before 100k locations).
 //  * Recycled — a slab released on location exit goes to a free list after
 //    MADV_DONTNEED returns its committed pages to the kernel, so peak
-//    residency tracks *live* locations, not spawned ones.
+//    residency tracks *live* locations, not spawned ones.  Under
+//    AddressSanitizer the slab's shadow is cleared too: it still carries
+//    the poisoned redzones of the previous fiber's frames.
 //  * Guarded — the page below each chunk's first slab is PROT_NONE, so the
 //    deepest slab of every chunk faults loudly on overflow (heap-allocated
 //    stacks had no guard at all; per-slab guards are a VMA each).

@@ -3,7 +3,7 @@
 // defect program family, a hand-built trace for the kind no program family
 // member can produce deterministically (unfinished collective), the
 // zero-false-positive guarantee on structurally sound programs, and
-// fiber/thread backend parity of the defect output.
+// run-to-run identity of the defect output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,12 +32,10 @@ struct DefectRun {
   AnalysisResult analysis;
 };
 
-DefectRun run_defect(const std::string& name, int nprocs,
-                     simt::EngineBackend backend = simt::EngineBackend::kFiber) {
+DefectRun run_defect(const std::string& name, int nprocs) {
   const gen::PropertyDef& def = gen::Registry::instance().find(name);
   gen::RunConfig cfg;
   cfg.nprocs = nprocs;
-  cfg.engine.backend = backend;
   cfg.engine.virtual_time_limit = VDur::seconds(120.0);
   cfg.engine.yield_limit = 2'000'000;
   gen::SalvagedRun run = gen::run_single_property_salvaged(def, def.positive, cfg);
@@ -215,22 +213,23 @@ TEST(CollCheck, CleanRegistryProgramsProduceNoDefects) {
   }
 }
 
-// --------------------------------------------------------- backend parity
+// ----------------------------------------------------------- determinism
 
-TEST(CollCheck, BackendsAgreeOnDefectOutput) {
+TEST(CollCheck, RerunsAgreeOnDefectOutput) {
   for (const std::string& name : gen::Registry::instance().defect_names()) {
-    const DefectRun fib = run_defect(name, 4, simt::EngineBackend::kFiber);
-    const DefectRun thr = run_defect(name, 4, simt::EngineBackend::kThread);
-    EXPECT_EQ(fib.run.outcome, thr.run.outcome) << name;
-    std::ostringstream ft, tt;
-    fib.run.trace.save(ft);
-    thr.run.trace.save(tt);
-    EXPECT_EQ(ft.str(), tt.str()) << name << ": salvaged traces differ";
-    EXPECT_EQ(report::render_defects(fib.analysis, fib.run.trace),
-              report::render_defects(thr.analysis, thr.run.trace))
+    const DefectRun first = run_defect(name, 4);
+    const DefectRun second = run_defect(name, 4);
+    EXPECT_EQ(first.run.outcome, second.run.outcome) << name;
+    std::ostringstream ft, st;
+    first.run.trace.save(ft);
+    second.run.trace.save(st);
+    EXPECT_EQ(ft.str(), st.str()) << name << ": salvaged traces differ";
+    EXPECT_FALSE(first.analysis.defects.empty()) << name;
+    EXPECT_EQ(report::render_defects(first.analysis, first.run.trace),
+              report::render_defects(second.analysis, second.run.trace))
         << name;
-    EXPECT_EQ(report::defect_csv(fib.analysis, fib.run.trace),
-              report::defect_csv(thr.analysis, thr.run.trace))
+    EXPECT_EQ(report::defect_csv(first.analysis, first.run.trace),
+              report::defect_csv(second.analysis, second.run.trace))
         << name;
   }
 }

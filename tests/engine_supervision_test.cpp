@@ -1,10 +1,9 @@
 // Supervision tests for the simt engine: virtual-time / yield / wall-clock
 // budgets raising HangError, golden deadlock and hang dumps, engine
 // destruction safety around failed or never-started runs, and poisoned
-// shutdown unwinding parked stacks on both execution backends.
+// shutdown unwinding parked fiber stacks.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -260,34 +259,18 @@ TEST(Supervision, EngineDestructsCleanlyAfterBodyError) {
   }
 }
 
-// --- poisoned shutdown: parked stacks unwind on both backends --------------
+// --- poisoned shutdown: parked stacks unwind -----------------------------
 
-class BackendShutdownTest : public ::testing::TestWithParam<EngineBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == EngineBackend::kFiber &&
-        resolve_backend(EngineBackend::kFiber) != EngineBackend::kFiber) {
-      GTEST_SKIP() << "fibers compiled out (TSan build)";
-    }
-  }
-  EngineOptions opts() const {
-    EngineOptions o;
-    o.backend = GetParam();
-    return o;
-  }
-};
-
-// Counts live objects on parked location stacks; atomic because on the
-// thread backend the unwinds run concurrently during shutdown.
+// Counts live objects on parked location stacks.
 struct Sentinel {
-  explicit Sentinel(std::atomic<int>* counter) : n(counter) { ++*n; }
+  explicit Sentinel(int* counter) : n(counter) { ++*n; }
   ~Sentinel() { --*n; }
-  std::atomic<int>* n;
+  int* n;
 };
 
-TEST_P(BackendShutdownTest, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
-  std::atomic<int> alive{0};
-  Engine eng(opts());
+TEST(EngineShutdown, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
+  int alive = 0;
+  Engine eng;
   for (int i = 0; i < 3; ++i) {
     eng.add_location("parked " + std::to_string(i), [&](Context& c) {
       Sentinel s(&alive);
@@ -297,12 +280,12 @@ TEST_P(BackendShutdownTest, ParkedStacksUnwindBeforeDeadlockErrorLeavesRun) {
   EXPECT_THROW(eng.run(), DeadlockError);
   // run() guarantees all location stacks are unwound on every exit path,
   // so the destructors of parked frames have already run here.
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, ParkedStacksUnwindAfterHang) {
-  std::atomic<int> alive{0};
-  EngineOptions o = opts();
+TEST(EngineShutdown, ParkedStacksUnwindAfterHang) {
+  int alive = 0;
+  EngineOptions o;
   o.yield_limit = 100;
   Engine eng(o);
   eng.add_location("poller", [](Context& c) {
@@ -313,28 +296,28 @@ TEST_P(BackendShutdownTest, ParkedStacksUnwindAfterHang) {
     c.block("recv");
   });
   EXPECT_THROW(eng.run(), HangError);
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, NeverRunEngineDestructsWithUnstartedLocations) {
+TEST(EngineShutdown, NeverRunEngineDestructsWithUnstartedLocations) {
   // Without run() no body ever starts, so there is nothing to unwind —
-  // but the backend still has to release unstarted fibers / parked threads.
-  std::atomic<int> alive{0};
+  // and no unstarted location may hold a fiber stack.
+  int alive = 0;
   for (int i = 0; i < 4; ++i) {
-    Engine eng(opts());
+    Engine eng;
     eng.add_location("never runs", [&](Context& c) {
       Sentinel s(&alive);
       c.block("x");
     });
   }
-  EXPECT_EQ(alive.load(), 0);
+  EXPECT_EQ(alive, 0);
 }
 
-TEST_P(BackendShutdownTest, BodySwallowingUnwindSignalStillShutsDown) {
+TEST(EngineShutdown, BodySwallowingUnwindSignalStillShutsDown) {
   // A body that absorbs the shutdown unwind (catch (...)) and returns
   // normally must not wedge the teardown.
-  std::atomic<int> swallowed{0};
-  Engine eng(opts());
+  int swallowed = 0;
+  Engine eng;
   eng.add_location("swallower", [&](Context& c) {
     try {
       c.block("recv");
@@ -344,14 +327,14 @@ TEST_P(BackendShutdownTest, BodySwallowingUnwindSignalStillShutsDown) {
   });
   eng.add_location("other", [](Context& c) { c.block("recv"); });
   EXPECT_THROW(eng.run(), DeadlockError);
-  EXPECT_EQ(swallowed.load(), 1);
+  EXPECT_EQ(swallowed, 1);
 }
 
-TEST_P(BackendShutdownTest, ContextCallsKeepThrowingOncePoisoned) {
+TEST(EngineShutdown, ContextCallsKeepThrowingOncePoisoned) {
   // After the first unwind signal is swallowed, every further Context call
   // throws again, so a retry loop cannot keep a poisoned location alive.
-  std::atomic<int> attempts{0};
-  Engine eng(opts());
+  int attempts = 0;
+  Engine eng;
   eng.add_location("stubborn", [&](Context& c) {
     for (;;) {
       try {
@@ -363,15 +346,8 @@ TEST_P(BackendShutdownTest, ContextCallsKeepThrowingOncePoisoned) {
   });
   eng.add_location("other", [](Context& c) { c.block("recv"); });
   EXPECT_THROW(eng.run(), DeadlockError);
-  EXPECT_EQ(attempts.load(), 3);
+  EXPECT_EQ(attempts, 3);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, BackendShutdownTest,
-    ::testing::Values(EngineBackend::kFiber, EngineBackend::kThread),
-    [](const ::testing::TestParamInfo<EngineBackend>& pinfo) {
-      return std::string(to_string(pinfo.param));
-    });
 
 }  // namespace
 }  // namespace ats::simt

@@ -61,6 +61,20 @@ TEST(ThreadPool, PropagatesFirstException) {
   EXPECT_EQ(count.load(), 8);
 }
 
+TEST(ThreadPool, ManySmallGridsAllComplete) {
+  // Back-to-back tiny grids make a worker finish the last cell while the
+  // caller is between its completion check and its wait; that wake-up
+  // must not be lost (a lost one parks the caller forever).
+  par::ThreadPool pool(4);
+  std::atomic<int> cells{0};
+  for (int grid = 0; grid < 20000; ++grid) {
+    pool.parallel_for(4, [&](std::size_t) {
+      cells.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(cells.load(), 4 * 20000);
+}
+
 TEST(ThreadPool, ZeroAndOneCellGrids) {
   par::ThreadPool pool(4);
   int calls = 0;

@@ -206,8 +206,7 @@ TEST(Oracle, MaskPermutationInvarianceHoldsDirectly) {
   ProgramSpec spec;
   spec.seed = 3;
   spec.property = "imbalance_at_mpi_barrier";
-  const proptest::RunResult run =
-      proptest::run_program(spec, simt::EngineBackend::kFiber);
+  const proptest::RunResult run = proptest::run_program(spec);
   ASSERT_EQ(run.outcome, gen::RunOutcome::kOk);
   analyze::AnalyzerOptions fwd;
   fwd.disabled_patterns = {analyze::PropertyId::kLateSender,

@@ -3,7 +3,6 @@
 // error propagation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
@@ -329,7 +328,25 @@ TEST(Engine, RngStreamsAreDeterministicPerLocation) {
 TEST(Engine, DestructorWithoutRunDoesNotHang) {
   Engine eng;
   eng.add_location("never run", [](Context& c) { c.advance(VDur::millis(1)); });
-  // Engine destroyed without run(): parked threads must be unwound.
+  // Engine destroyed without run(): the location never got a fiber, so
+  // there is nothing to unwind and nothing may leak.
+}
+
+TEST(Engine, TinyFiberStackRequestIsClamped) {
+  // fiber_stack_bytes is clamped to 64 KiB, so a request below what a
+  // fiber can run on still gives every location a usable stack.
+  EngineOptions opt;
+  opt.fiber_stack_bytes = 1;
+  Engine eng(opt);
+  for (int i = 0; i < 3; ++i) {
+    eng.add_location("small", [](Context& c) {
+      volatile char frame[16 * 1024];
+      for (std::size_t k = 0; k < sizeof frame; k += 512) frame[k] = 1;
+      c.advance(VDur::micros(frame[512]));
+    });
+  }
+  eng.run();
+  EXPECT_EQ(eng.horizon(), VTime::zero() + VDur::micros(1));
 }
 
 TEST(Engine, ManyLocations) {
@@ -342,49 +359,6 @@ TEST(Engine, ManyLocations) {
   }
   eng.run();
   EXPECT_EQ(eng.location_count(), static_cast<std::size_t>(n));
-}
-
-// --- execution-backend selection ------------------------------------------
-
-TEST(EngineBackendSelection, ExplicitOptionWinsOverEnvironment) {
-  ::setenv("ATS_ENGINE_BACKEND", "thread", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kThread), EngineBackend::kThread);
-  ::setenv("ATS_ENGINE_BACKEND", "fiber", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kThread), EngineBackend::kThread);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, EnvVarResolvesAuto) {
-  ::setenv("ATS_ENGINE_BACKEND", "thread", 1);
-  EXPECT_EQ(resolve_backend(EngineBackend::kAuto), EngineBackend::kThread);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, UnknownEnvValueThrows) {
-  ::setenv("ATS_ENGINE_BACKEND", "bogus", 1);
-  EXPECT_THROW(resolve_backend(EngineBackend::kAuto), UsageError);
-  ::unsetenv("ATS_ENGINE_BACKEND");
-  // An explicit backend never consults the environment, so the same value
-  // is harmless then.
-  ::setenv("ATS_ENGINE_BACKEND", "bogus", 1);
-  EXPECT_NO_THROW(resolve_backend(EngineBackend::kThread));
-  ::unsetenv("ATS_ENGINE_BACKEND");
-}
-
-TEST(EngineBackendSelection, DefaultIsFiberWhenAvailable) {
-  ::unsetenv("ATS_ENGINE_BACKEND");
-  const EngineBackend def = resolve_backend(EngineBackend::kAuto);
-  if (resolve_backend(EngineBackend::kFiber) == EngineBackend::kFiber) {
-    EXPECT_EQ(def, EngineBackend::kFiber);
-  } else {
-    EXPECT_EQ(def, EngineBackend::kThread);  // TSan build: fibers gone
-  }
-}
-
-TEST(EngineBackendSelection, ToStringNamesAllBackends) {
-  EXPECT_STREQ(to_string(EngineBackend::kAuto), "auto");
-  EXPECT_STREQ(to_string(EngineBackend::kFiber), "fiber");
-  EXPECT_STREQ(to_string(EngineBackend::kThread), "thread");
 }
 
 }  // namespace
