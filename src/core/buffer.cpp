@@ -44,7 +44,7 @@ void MpiBuf::fill_int(std::int64_t value) {
 }
 
 MpiVBuf::MpiVBuf(mpi::Datatype type, const Distribution& d, double scale,
-                 int comm_size, int my_rank)
+                 int comm_size, int my_rank, int root)
     : type_(type), rank_(my_rank) {
   require(comm_size >= 1, "MpiVBuf: group size must be >= 1");
   require(my_rank >= 0 && my_rank < comm_size, "MpiVBuf: rank out of range");
@@ -58,7 +58,10 @@ MpiVBuf::MpiVBuf(mpi::Datatype type, const Distribution& d, double scale,
     total_ += counts_[static_cast<std::size_t>(r)];
   }
   const std::size_t esz = mpi::datatype_size(type);
-  root_storage_.assign(static_cast<std::size_t>(total_) * esz, std::byte{0});
+  if (my_rank == root) {
+    root_storage_.assign(static_cast<std::size_t>(total_) * esz,
+                         std::byte{0});
+  }
   my_storage_.assign(
       static_cast<std::size_t>(counts_[static_cast<std::size_t>(my_rank)]) *
           esz,

@@ -53,11 +53,12 @@ class MpiBuf {
 /// prefix-sum displacements, and root-side storage for the concatenation.
 ///
 /// The distribution value for rank r (times `scale`) is rounded to a
-/// non-negative element count.
+/// non-negative element count.  Only `root` holds the concatenation
+/// storage: MPI ignores the root buffer argument on every other rank.
 class MpiVBuf {
  public:
   MpiVBuf(mpi::Datatype type, const Distribution& d, double scale,
-          int comm_size, int my_rank);
+          int comm_size, int my_rank, int root);
 
   mpi::Datatype type() const { return type_; }
   /// Count for this rank (the rank passed at construction).
@@ -66,7 +67,8 @@ class MpiVBuf {
   std::span<const int> displs() const { return displs_; }
   int total() const { return total_; }
 
-  /// Root-side buffer able to hold the full concatenation.
+  /// Root-side buffer able to hold the full concatenation; nullptr on
+  /// non-roots (and on a root whose total is zero).
   void* root_data() { return root_storage_.data(); }
   /// This rank's own slice-sized buffer.
   void* my_data() { return my_storage_.data(); }

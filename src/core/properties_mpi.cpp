@@ -193,7 +193,9 @@ void late_scatter(PropCtx& ctx, double basework, double rootextrawork,
   const int sz = comm.size();
   const Distribution dd =
       late_root_distribution(basework, rootextrawork, root);
-  MpiBuf sbuf(ctx.defaults.base_type, ctx.defaults.base_cnt * sz);
+  // MPI reads the send buffer on the root only.
+  MpiBuf sbuf(ctx.defaults.base_type,
+              p.rank(comm) == root ? ctx.defaults.base_cnt * sz : 0);
   MpiBuf rbuf(ctx.defaults.base_type, ctx.defaults.base_cnt);
   for (int i = 0; i < r; ++i) {
     par_do_mpi_work(ctx, dd, 1.0, comm);
@@ -214,7 +216,7 @@ void late_scatterv(PropCtx& ctx, double basework, double rootextrawork,
   MpiVBuf vbuf(ctx.defaults.base_type,
                Distribution::linear(ctx.defaults.base_cnt / 2.0,
                                     ctx.defaults.base_cnt * 1.5),
-               1.0, sz, me);
+               1.0, sz, me, root);
   for (int i = 0; i < r; ++i) {
     par_do_mpi_work(ctx, dd, 1.0, comm);
     p.scatterv(vbuf.root_data(), vbuf.counts(), vbuf.displs(),
@@ -248,7 +250,9 @@ void early_gather(PropCtx& ctx, double rootwork, double baseextrawork,
   const Distribution dd =
       Distribution::peak(rootwork + baseextrawork, rootwork, root);
   MpiBuf sbuf(ctx.defaults.base_type, ctx.defaults.base_cnt);
-  MpiBuf rbuf(ctx.defaults.base_type, ctx.defaults.base_cnt * sz);
+  // MPI writes the receive buffer on the root only.
+  MpiBuf rbuf(ctx.defaults.base_type,
+              p.rank(comm) == root ? ctx.defaults.base_cnt * sz : 0);
   for (int i = 0; i < r; ++i) {
     par_do_mpi_work(ctx, dd, 1.0, comm);
     p.gather(sbuf.data(), ctx.defaults.base_cnt, rbuf.data(),
@@ -267,7 +271,7 @@ void early_gatherv(PropCtx& ctx, double rootwork, double baseextrawork,
   MpiVBuf vbuf(ctx.defaults.base_type,
                Distribution::linear(ctx.defaults.base_cnt / 2.0,
                                     ctx.defaults.base_cnt * 1.5),
-               1.0, sz, me);
+               1.0, sz, me, root);
   for (int i = 0; i < r; ++i) {
     par_do_mpi_work(ctx, dd, 1.0, comm);
     p.gatherv(vbuf.my_data(), vbuf.my_count(), vbuf.root_data(),

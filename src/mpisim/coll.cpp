@@ -14,7 +14,12 @@
 //  * root-sink (reduce, gather, gatherv): the root leaves at
 //    max(all enters) + cost, non-roots at own enter + cost — an early root
 //    waits for the last contributor ("Early Reduce"/"Early Gather").
+//
+// All-to-all ops read every rank's send buffer in place (nobody leaves
+// before the outputs exist); rooted ops stage copies, because one side may
+// leave before the other arrives (see detail::CollInstance).
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "mpisim/world.hpp"
@@ -40,20 +45,25 @@ std::int64_t bytes_of(int count, Datatype type) {
          static_cast<std::int64_t>(datatype_size(type));
 }
 
-/// Payload size used for the completion-cost term.
-std::int64_t cost_bytes(const detail::CollInstance& inst) {
-  if (inst.bytes_per_rank >= 0) return inst.bytes_per_rank;
-  std::int64_t mx = 0;
-  for (const auto& c : inst.contrib) {
-    mx = std::max(mx, static_cast<std::int64_t>(c.size()));
-  }
-  return mx;
-}
-
 void check_capacity(std::int64_t need, std::int64_t have, const char* what) {
   if (need > have) {
     throw MpiError(std::string(what) + ": receive buffer too small (" +
                    std::to_string(need) + " > " + std::to_string(have) + ")");
+  }
+}
+
+/// All-wait collectives read send buffers in place while writing results
+/// straight into receive buffers, so one rank's two ranges must not
+/// overlap (MPI forbids the aliasing as well).
+void check_disjoint(const void* sdata, std::int64_t sbytes, const void* rdata,
+                    std::int64_t rbytes, const char* what) {
+  const auto s = reinterpret_cast<std::uintptr_t>(sdata);
+  const auto r = reinterpret_cast<std::uintptr_t>(rdata);
+  if (sbytes > 0 && rbytes > 0 &&
+      s < r + static_cast<std::uintptr_t>(rbytes) &&
+      r < s + static_cast<std::uintptr_t>(sbytes)) {
+    throw MpiError(std::string(what) +
+                   ": send and receive buffers overlap");
   }
 }
 
@@ -94,7 +104,7 @@ detail::CollInstance& Proc::coll_enter(Comm& comm, trace::CollOp op,
     inst.enter.assign(static_cast<std::size_t>(p), VTime::max());
     inst.present.assign(static_cast<std::size_t>(p), false);
     inst.exit_at.assign(static_cast<std::size_t>(p), VTime::max());
-    inst.contrib.resize(static_cast<std::size_t>(p));
+    inst.in_ptr.assign(static_cast<std::size_t>(p), nullptr);
     inst.out_ptr.assign(static_cast<std::size_t>(p), nullptr);
     inst.out_capacity.assign(static_cast<std::size_t>(p), 0);
     inst.out_counts.assign(static_cast<std::size_t>(p), 0);
@@ -157,7 +167,7 @@ void Proc::coll_all_wait(
   inst.complete = true;
   compute_outputs(inst);
   const VTime end =
-      inst.max_enter + world_->cost().collective_time(p, cost_bytes(inst));
+      inst.max_enter + world_->cost().collective_time(p, inst.bytes_per_rank);
   for (int r = 0; r < p; ++r) {
     inst.exit_at[static_cast<std::size_t>(r)] = end;
   }
@@ -385,7 +395,8 @@ void Proc::gatherv_impl(trace::CollOp op, const void* sdata, int scount,
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(me);
 
-  // Every rank (root included) contributes its send buffer.
+  // Every rank (root included) contributes a copy of its send buffer.
+  if (inst.contrib.empty()) inst.contrib.resize(static_cast<std::size_t>(p));
   inst.contrib[ume].assign(static_cast<const std::byte*>(sdata),
                            static_cast<const std::byte*>(sdata) + sbytes);
 
@@ -461,6 +472,7 @@ void Proc::reduce(const void* sdata, void* rdata, int count, Datatype type,
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(me);
   inst.rop = rop;
+  if (inst.contrib.empty()) inst.contrib.resize(static_cast<std::size_t>(p));
   inst.contrib[ume].assign(static_cast<const std::byte*>(sdata),
                            static_cast<const std::byte*>(sdata) + bytes);
 
@@ -504,6 +516,7 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
                      ReduceOp rop, Comm& comm) {
   const int p = comm.size();
   const std::int64_t bytes = bytes_of(count, type);
+  check_disjoint(sdata, bytes, rdata, bytes, "allreduce");
   const trace::RegionId reg =
       world_->region("MPI_Allreduce", trace::RegionKind::kMpiColl);
   std::int64_t seq = 0;
@@ -513,21 +526,22 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(rank(comm));
   inst.rop = rop;
-  inst.contrib[ume].assign(static_cast<const std::byte*>(sdata),
-                           static_cast<const std::byte*>(sdata) + bytes);
+  inst.in_ptr[ume] = static_cast<const std::byte*>(sdata);
   inst.out_ptr[ume] = rdata;
   inst.out_capacity[ume] = bytes;
 
-  coll_all_wait(comm, inst, seq, [&, count, p](detail::CollInstance& ci) {
-    std::vector<std::byte> acc = ci.contrib[0];
+  coll_all_wait(comm, inst, seq, [count, p](detail::CollInstance& ci) {
+    if (count == 0) return;
+    // Reduce into rank 0's receive buffer, then hand that result out.
+    const auto n = static_cast<std::size_t>(ci.bytes_per_rank);
+    auto* acc = static_cast<std::byte*>(ci.out_ptr[0]);
+    std::memcpy(acc, ci.in_ptr[0], n);
     for (int r = 1; r < p; ++r) {
-      reduce_combine(ci.rop, ci.type,
-                     ci.contrib[static_cast<std::size_t>(r)].data(),
-                     acc.data(), count);
+      reduce_combine(ci.rop, ci.type, ci.in_ptr[static_cast<std::size_t>(r)],
+                     acc, count);
     }
-    for (int r = 0; r < p; ++r) {
-      std::memcpy(ci.out_ptr[static_cast<std::size_t>(r)], acc.data(),
-                  acc.size());
+    for (int r = 1; r < p; ++r) {
+      std::memcpy(ci.out_ptr[static_cast<std::size_t>(r)], acc, n);
     }
   });
   coll_finish(comm, seq, trace::CollOp::kAllreduce, enter_t, bytes, bytes,
@@ -537,9 +551,9 @@ void Proc::allreduce(const void* sdata, void* rdata, int count, Datatype type,
 void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
                     Datatype type, Comm& comm) {
   const int p = comm.size();
-  const std::size_t esz = datatype_size(type);
   const std::int64_t block = bytes_of(scount, type);
   require(scount == rcount, "alltoall: scount must equal rcount");
+  check_disjoint(sdata, block * p, rdata, block * p, "alltoall");
   const trace::RegionId reg =
       world_->region("MPI_Alltoall", trace::RegionKind::kMpiColl);
   std::int64_t seq = 0;
@@ -547,20 +561,18 @@ void Proc::alltoall(const void* sdata, int scount, void* rdata, int rcount,
                                           type, block * p, seq, reg);
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(rank(comm));
-  inst.contrib[ume].assign(
-      static_cast<const std::byte*>(sdata),
-      static_cast<const std::byte*>(sdata) + block * p);
+  inst.in_ptr[ume] = static_cast<const std::byte*>(sdata);
   inst.out_ptr[ume] = rdata;
-  inst.out_capacity[ume] = static_cast<std::int64_t>(esz) * rcount * p;
+  inst.out_capacity[ume] = block * p;
 
-  coll_all_wait(comm, inst, seq, [&, p, block](detail::CollInstance& ci) {
+  coll_all_wait(comm, inst, seq, [p, block](detail::CollInstance& ci) {
+    if (block == 0) return;
     for (int i = 0; i < p; ++i) {
       std::byte* out =
           static_cast<std::byte*>(ci.out_ptr[static_cast<std::size_t>(i)]);
       for (int j = 0; j < p; ++j) {
         std::memcpy(out + block * j,
-                    ci.contrib[static_cast<std::size_t>(j)].data() +
-                        block * i,
+                    ci.in_ptr[static_cast<std::size_t>(j)] + block * i,
                     static_cast<std::size_t>(block));
       }
     }
@@ -574,6 +586,7 @@ void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
   const int p = comm.size();
   const std::int64_t block = bytes_of(scount, type);
   require(scount == rcount, "allgather: scount must equal rcount");
+  check_disjoint(sdata, block, rdata, block * p, "allgather");
   const trace::RegionId reg =
       world_->region("MPI_Allgather", trace::RegionKind::kMpiColl);
   std::int64_t seq = 0;
@@ -581,18 +594,17 @@ void Proc::allgather(const void* sdata, int scount, void* rdata, int rcount,
                                           type, block, seq, reg);
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(rank(comm));
-  inst.contrib[ume].assign(static_cast<const std::byte*>(sdata),
-                           static_cast<const std::byte*>(sdata) + block);
+  inst.in_ptr[ume] = static_cast<const std::byte*>(sdata);
   inst.out_ptr[ume] = rdata;
   inst.out_capacity[ume] = block * p;
 
-  coll_all_wait(comm, inst, seq, [&, p, block](detail::CollInstance& ci) {
+  coll_all_wait(comm, inst, seq, [p, block](detail::CollInstance& ci) {
+    if (block == 0) return;
     for (int i = 0; i < p; ++i) {
       std::byte* out =
           static_cast<std::byte*>(ci.out_ptr[static_cast<std::size_t>(i)]);
       for (int j = 0; j < p; ++j) {
-        std::memcpy(out + block * j,
-                    ci.contrib[static_cast<std::size_t>(j)].data(),
+        std::memcpy(out + block * j, ci.in_ptr[static_cast<std::size_t>(j)],
                     static_cast<std::size_t>(block));
       }
     }
@@ -605,6 +617,7 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
                 ReduceOp rop, Comm& comm) {
   const int p = comm.size();
   const std::int64_t bytes = bytes_of(count, type);
+  check_disjoint(sdata, bytes, rdata, bytes, "scan");
   const trace::RegionId reg =
       world_->region("MPI_Scan", trace::RegionKind::kMpiColl);
   std::int64_t seq = 0;
@@ -614,20 +627,19 @@ void Proc::scan(const void* sdata, void* rdata, int count, Datatype type,
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(rank(comm));
   inst.rop = rop;
-  inst.contrib[ume].assign(static_cast<const std::byte*>(sdata),
-                           static_cast<const std::byte*>(sdata) + bytes);
+  inst.in_ptr[ume] = static_cast<const std::byte*>(sdata);
   inst.out_ptr[ume] = rdata;
   inst.out_capacity[ume] = bytes;
 
-  coll_all_wait(comm, inst, seq, [&, count, p](detail::CollInstance& ci) {
-    std::vector<std::byte> acc = ci.contrib[0];
-    std::memcpy(ci.out_ptr[0], acc.data(), acc.size());
+  coll_all_wait(comm, inst, seq, [count, p](detail::CollInstance& ci) {
+    if (count == 0) return;
+    // Rank r's prefix is rank r-1's prefix combined with rank r's input.
+    const auto n = static_cast<std::size_t>(ci.bytes_per_rank);
+    std::memcpy(ci.out_ptr[0], ci.in_ptr[0], n);
     for (int r = 1; r < p; ++r) {
-      reduce_combine(ci.rop, ci.type,
-                     ci.contrib[static_cast<std::size_t>(r)].data(),
-                     acc.data(), count);
-      std::memcpy(ci.out_ptr[static_cast<std::size_t>(r)], acc.data(),
-                  acc.size());
+      const std::size_t ur = static_cast<std::size_t>(r);
+      std::memcpy(ci.out_ptr[ur], ci.out_ptr[ur - 1], n);
+      reduce_combine(ci.rop, ci.type, ci.in_ptr[ur], ci.out_ptr[ur], count);
     }
   });
   coll_finish(comm, seq, trace::CollOp::kScan, enter_t, bytes, bytes, reg);
@@ -637,6 +649,7 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
                                 Datatype type, ReduceOp rop, Comm& comm) {
   const int p = comm.size();
   const std::int64_t block = bytes_of(count, type);
+  check_disjoint(sdata, block * p, rdata, block, "reduce_scatter_block");
   const trace::RegionId reg =
       world_->region("MPI_Reduce_scatter", trace::RegionKind::kMpiColl);
   std::int64_t seq = 0;
@@ -646,25 +659,24 @@ void Proc::reduce_scatter_block(const void* sdata, void* rdata, int count,
   const VTime enter_t = ctx_.now();
   const std::size_t ume = static_cast<std::size_t>(rank(comm));
   inst.rop = rop;
-  inst.contrib[ume].assign(
-      static_cast<const std::byte*>(sdata),
-      static_cast<const std::byte*>(sdata) + block * p);
+  inst.in_ptr[ume] = static_cast<const std::byte*>(sdata);
   inst.out_ptr[ume] = rdata;
   inst.out_capacity[ume] = block;
 
-  coll_all_wait(comm, inst, seq, [&, count, p, block](
-                                     detail::CollInstance& ci) {
-    // Full elementwise reduction over all contributions...
-    std::vector<std::byte> acc = ci.contrib[0];
-    for (int r = 1; r < p; ++r) {
-      reduce_combine(ci.rop, ci.type,
-                     ci.contrib[static_cast<std::size_t>(r)].data(),
-                     acc.data(), count * p);
-    }
-    // ... then scatter block i to rank i.
+  coll_all_wait(comm, inst, seq, [count, p, block](detail::CollInstance& ci) {
+    if (block == 0) return;
+    // Rank r receives block r of the elementwise reduction over all inputs,
+    // reduced straight into its receive buffer.
     for (int r = 0; r < p; ++r) {
-      std::memcpy(ci.out_ptr[static_cast<std::size_t>(r)],
-                  acc.data() + block * r, static_cast<std::size_t>(block));
+      auto* out =
+          static_cast<std::byte*>(ci.out_ptr[static_cast<std::size_t>(r)]);
+      std::memcpy(out, ci.in_ptr[0] + block * r,
+                  static_cast<std::size_t>(block));
+      for (int j = 1; j < p; ++j) {
+        reduce_combine(ci.rop, ci.type,
+                       ci.in_ptr[static_cast<std::size_t>(j)] + block * r,
+                       out, count);
+      }
     }
   });
   coll_finish(comm, seq, trace::CollOp::kReduceScatter, enter_t, block * p,

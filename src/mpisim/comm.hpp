@@ -94,6 +94,17 @@ struct CollInstance {
   // Data staging -------------------------------------------------------
   Datatype type = Datatype::kByte;
   ReduceOp rop = ReduceOp::kSum;
+  /// All-wait ops (allreduce, alltoall, allgather, scan, reduce_scatter)
+  /// borrow each rank's send buffer instead of copying it: every
+  /// participant stays blocked inside the call until the last arriver has
+  /// computed all outputs, so the borrowed buffers are alive and unchanged
+  /// while they are read.  Results are written straight into the receive
+  /// buffers, which is why each call rejects a send range that overlaps
+  /// its receive range (MPI forbids that aliasing too).
+  std::vector<const std::byte*> in_ptr;         // per rank, all-wait ops
+  /// Root-sink ops (reduce, gather(v)) copy instead: a non-root returns at
+  /// its own enter + cost and may overwrite its send buffer before a late
+  /// root consumes it.  Sized on first use.
   std::vector<std::vector<std::byte>> contrib;  // per rank
   std::vector<std::byte> root_data;             // bcast/scatter source
   std::vector<void*> out_ptr;                   // per rank recv buffer

@@ -44,21 +44,40 @@ const char* to_string(ReduceOp op) {
 
 namespace {
 
+// One loop per operator, so each loop body is a single expression the
+// compiler can vectorise (a switch inside the loop defeats that).
+template <typename T, typename F>
+void combine_each(const T* in, T* inout, int count, F f) {
+  for (int i = 0; i < count; ++i) inout[i] = f(inout[i], in[i]);
+}
+
 template <typename T>
 void combine_typed(ReduceOp op, const T* in, T* inout, int count) {
-  for (int i = 0; i < count; ++i) {
-    switch (op) {
-      case ReduceOp::kSum: inout[i] = static_cast<T>(inout[i] + in[i]); break;
-      case ReduceOp::kProd: inout[i] = static_cast<T>(inout[i] * in[i]); break;
-      case ReduceOp::kMin: inout[i] = std::min(inout[i], in[i]); break;
-      case ReduceOp::kMax: inout[i] = std::max(inout[i], in[i]); break;
-      case ReduceOp::kLand:
-        inout[i] = static_cast<T>((inout[i] != T{}) && (in[i] != T{}) ? 1 : 0);
-        break;
-      case ReduceOp::kLor:
-        inout[i] = static_cast<T>((inout[i] != T{}) || (in[i] != T{}) ? 1 : 0);
-        break;
-    }
+  switch (op) {
+    case ReduceOp::kSum:
+      combine_each(in, inout, count,
+                   [](T a, T b) { return static_cast<T>(a + b); });
+      return;
+    case ReduceOp::kProd:
+      combine_each(in, inout, count,
+                   [](T a, T b) { return static_cast<T>(a * b); });
+      return;
+    case ReduceOp::kMin:
+      combine_each(in, inout, count, [](T a, T b) { return std::min(a, b); });
+      return;
+    case ReduceOp::kMax:
+      combine_each(in, inout, count, [](T a, T b) { return std::max(a, b); });
+      return;
+    case ReduceOp::kLand:
+      combine_each(in, inout, count, [](T a, T b) {
+        return static_cast<T>((a != T{}) && (b != T{}) ? 1 : 0);
+      });
+      return;
+    case ReduceOp::kLor:
+      combine_each(in, inout, count, [](T a, T b) {
+        return static_cast<T>((a != T{}) || (b != T{}) ? 1 : 0);
+      });
+      return;
   }
 }
 

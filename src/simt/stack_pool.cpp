@@ -27,8 +27,7 @@ std::size_t page_size() {
 }  // namespace
 
 StackPool::StackPool(std::size_t slab_bytes) : page_bytes_(page_size()) {
-  // Round the slab up to whole pages so MADV_DONTNEED on release covers it
-  // exactly and every slab base is page-aligned.
+  // Round the slab up to whole pages so every slab base is page-aligned.
   slab_bytes_ = ((slab_bytes + page_bytes_ - 1) / page_bytes_) * page_bytes_;
   if (slab_bytes_ == 0) slab_bytes_ = page_bytes_;
 }
@@ -82,11 +81,8 @@ char* StackPool::acquire() {
 
 void StackPool::release(char* base) {
   if (base == nullptr) return;
-#if ATS_SIMT_HAS_MMAP_STACKS
-  // Hand the committed pages back; the address range stays reserved for
-  // reuse, so recycling a slab re-faults zero pages only as frames grow.
-  ::madvise(base, slab_bytes_, MADV_DONTNEED);
-#endif
+  // The slab keeps its committed pages: the next acquire reuses them warm
+  // instead of faulting fresh zero pages in (see the header comment).
   ASAN_UNPOISON_MEMORY_REGION(base, slab_bytes_);  // no-op without ASan
   free_.push_back(base);
   --live_;

@@ -12,11 +12,15 @@
 //    count grows by ~2 per *chunk*, not per slab (vm.max_map_count is
 //    ~65530 by default; per-slab mappings or guard pages would exhaust it
 //    long before 100k locations).
-//  * Recycled — a slab released on location exit goes to a free list after
-//    MADV_DONTNEED returns its committed pages to the kernel, so peak
-//    residency tracks *live* locations, not spawned ones.  Under
-//    AddressSanitizer the slab's shadow is cleared too: it still carries
-//    the poisoned redzones of the previous fiber's frames.
+//  * Recycled warm — a slab released on location exit goes to a LIFO free
+//    list with its committed pages intact, and the next location to start
+//    takes the most recently released (hottest) slab, so it does not fault
+//    its stack in again.  Slabs are carved only while the free list is
+//    empty: at most peak-live slabs exist, and residency stays bounded by
+//    peak live locations × the stack pages each one touched.  Only
+//    ~StackPool returns pages to the kernel.  Under AddressSanitizer the
+//    slab's shadow is cleared on release: it still carries the poisoned
+//    redzones of the previous fiber's frames.
 //  * Guarded — the page below each chunk's first slab is PROT_NONE, so the
 //    deepest slab of every chunk faults loudly on overflow (heap-allocated
 //    stacks had no guard at all; per-slab guards are a VMA each).
@@ -46,8 +50,8 @@ class StackPool {
   /// fiber initial frames overwrite everything they read.
   char* acquire();
 
-  /// Returns `base` (a pointer obtained from acquire) to the free list and
-  /// releases its committed pages back to the kernel.
+  /// Returns `base` (a pointer obtained from acquire) to the free list; its
+  /// committed pages stay resident for the next acquire.
   void release(char* base);
 
   std::size_t slab_bytes() const { return slab_bytes_; }

@@ -180,7 +180,8 @@ TEST(Buffer, NegativeCountThrows) {
 }
 
 TEST(Buffer, VBufCountsFollowDistribution) {
-  MpiVBuf v(mpi::Datatype::kInt32, Distribution::linear(10, 40), 1.0, 4, 2);
+  MpiVBuf v(mpi::Datatype::kInt32, Distribution::linear(10, 40), 1.0, 4, 2,
+            2);
   ASSERT_EQ(v.counts().size(), 4u);
   EXPECT_EQ(v.counts()[0], 10);
   EXPECT_EQ(v.counts()[3], 40);
@@ -191,8 +192,25 @@ TEST(Buffer, VBufCountsFollowDistribution) {
   EXPECT_EQ(v.my_bytes(), 30 * 4);
 }
 
+TEST(Buffer, VBufRootStorageLivesOnTheRootOnly) {
+  // MPI ignores the root buffer argument on non-roots, so only the root
+  // pays for the concatenation.
+  for (int me = 0; me < 4; ++me) {
+    MpiVBuf v(mpi::Datatype::kInt32, Distribution::linear(10, 40), 1.0, 4,
+              me, 1);
+    if (me == 1) {
+      EXPECT_NE(v.root_data(), nullptr);
+    } else {
+      EXPECT_EQ(v.root_data(), nullptr);
+    }
+    EXPECT_EQ(v.total(), 100);
+    EXPECT_EQ(v.my_bytes(), v.counts()[static_cast<std::size_t>(me)] * 4);
+  }
+}
+
 TEST(Buffer, VBufNegativeValuesClampToZero) {
-  MpiVBuf v(mpi::Datatype::kInt32, Distribution::linear(-10, 10), 1.0, 3, 0);
+  MpiVBuf v(mpi::Datatype::kInt32, Distribution::linear(-10, 10), 1.0, 3, 0,
+            0);
   EXPECT_EQ(v.counts()[0], 0);
   EXPECT_EQ(v.counts()[2], 10);
 }

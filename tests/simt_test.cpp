@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "simt/engine.hpp"
+#include "simt/stack_pool.hpp"
 
 namespace ats::simt {
 namespace {
@@ -359,6 +360,69 @@ TEST(Engine, ManyLocations) {
   }
   eng.run();
   EXPECT_EQ(eng.location_count(), static_cast<std::size_t>(n));
+}
+
+// ------------------------------------------------------------- StackPool
+
+TEST(StackPool, ReleasedSlabsAreReacquiredLastInFirstOut) {
+  detail::StackPool pool(64 * 1024);
+  char* a = pool.acquire();
+  char* b = pool.acquire();
+  char* c = pool.acquire();
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, c);
+  pool.release(b);
+  EXPECT_EQ(pool.acquire(), b);  // the hottest slab comes back first
+  pool.release(a);
+  pool.release(c);
+  EXPECT_EQ(pool.acquire(), c);
+  EXPECT_EQ(pool.acquire(), a);
+  // With the free list empty again, a new slab is carved.
+  char* d = pool.acquire();
+  EXPECT_NE(d, a);
+  EXPECT_NE(d, b);
+  EXPECT_NE(d, c);
+}
+
+TEST(StackPool, LiveAndPeakSlabsTrackAcquireAndRelease) {
+  detail::StackPool pool(64 * 1024);
+  EXPECT_EQ(pool.live_slabs(), 0u);
+  EXPECT_EQ(pool.peak_live_slabs(), 0u);
+  std::vector<char*> held;
+  for (int i = 0; i < 5; ++i) held.push_back(pool.acquire());
+  EXPECT_EQ(pool.live_slabs(), 5u);
+  EXPECT_EQ(pool.peak_live_slabs(), 5u);
+  pool.release(held[1]);
+  pool.release(held[3]);
+  EXPECT_EQ(pool.live_slabs(), 3u);
+  EXPECT_EQ(pool.peak_live_slabs(), 5u);
+  pool.release(nullptr);  // ignored
+  EXPECT_EQ(pool.live_slabs(), 3u);
+  // Recycling below the peak carves nothing new.
+  const std::size_t reserved = pool.reserved_bytes();
+  pool.acquire();
+  pool.acquire();
+  EXPECT_EQ(pool.live_slabs(), 5u);
+  EXPECT_EQ(pool.peak_live_slabs(), 5u);
+  EXPECT_EQ(pool.reserved_bytes(), reserved);
+  pool.acquire();
+  EXPECT_EQ(pool.live_slabs(), 6u);
+  EXPECT_EQ(pool.peak_live_slabs(), 6u);
+}
+
+TEST(StackPool, RecycledSlabStaysWarm) {
+  // release keeps the slab's committed pages, so what the previous owner
+  // wrote is still there (acquire documents that slabs are not zeroed).
+  detail::StackPool pool(64 * 1024);
+  char* a = pool.acquire();
+  const std::size_t last = pool.slab_bytes() - 1;
+  a[0] = 'x';
+  a[last] = 'y';
+  pool.release(a);
+  char* again = pool.acquire();
+  ASSERT_EQ(again, a);
+  EXPECT_EQ(again[0], 'x');
+  EXPECT_EQ(again[last], 'y');
 }
 
 }  // namespace

@@ -40,13 +40,6 @@ std::string binary_of(const trace::Trace& t) {
   return os.str();
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 /// RAII scratch file for mmap-path tests.
 struct TempFile {
   std::string path;
